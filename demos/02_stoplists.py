@@ -8,7 +8,6 @@ from stoplab import (
     build_index,
     combined_stoplist,
     corpus_stoplist,
-    filter_tokens,
     general_stoplist,
     normalize,
     tokenize,
@@ -35,7 +34,7 @@ print("-" * 60)
 sentence = "قال الوزير في القاهرة اليوم ان الاجتماع انتهى"
 tokens = tokenize(normalize(sentence))
 print("before:", tokens)
-print("after: ", filter_tokens(tokens, gs))
+print("after: ", gs.filter(tokens))
 
 print()
 print("building a corpus-based list from collection statistics")

@@ -31,7 +31,6 @@ from .stoplists import (
     Stoplist,
     build_corpus_stoplist,
     combine,
-    filter_tokens,
     load_stoplist,
 )
 from .stoplists import bundled as bundled_stoplist
@@ -66,7 +65,6 @@ __all__ = [
     "corpus_stoplist",
     "evaluate_query",
     "evaluate_run",
-    "filter_tokens",
     "friedman",
     "friedman_chi2_from_mean_ranks",
     "general_stoplist",

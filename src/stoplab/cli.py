@@ -21,9 +21,10 @@ import logging
 import os
 import re
 import sys
+from dataclasses import fields
 
 from . import stoplists
-from .errors import ParseError
+from .errors import ParseError, iter_lines
 from .index import Index, build_index, parse_trec_documents
 from .ranking import (
     BM25Params,
@@ -45,6 +46,7 @@ from .treceval import (
 )
 
 MODELS = ("TFIDF", "BM25", "KL")
+PARAMS = {"TFIDF": TFIDFParams, "BM25": BM25Params, "KL": DirichletParams}
 ENCODINGS = {"utf8": "utf-8", "cp1256": "cp1256"}
 SIGNIFICANCE_LEVEL = 0.05
 
@@ -67,17 +69,14 @@ class _Parser(argparse.ArgumentParser):
 def read_config(path: str) -> dict[str, str]:
     """Parse a ``key=value`` experiment manifest; ``#`` starts a comment."""
     config: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            if "=" not in s:
-                raise ParseError(
-                    "%s line %d: expected key=value" % (path, lineno)
-                )
-            key, value = s.split("=", 1)
-            config[key.strip()] = value.strip()
+    for lineno, line in iter_lines(path, path):
+        s = line.strip()
+        if not s or s.startswith("#"):
+            continue
+        if "=" not in s:
+            raise ParseError("%s line %d: expected key=value" % (path, lineno))
+        key, value = s.split("=", 1)
+        config[key.strip()] = value.strip()
     return config
 
 
@@ -198,40 +197,32 @@ def read_run_file(source) -> list[RankedRun]:
     """Parse a TREC run file into per-query runs, original order preserved."""
     runs: dict[str, RankedRun] = {}
     docnos_seen: dict[str, set[str]] = {}
-    if hasattr(source, "read"):
-        lines = source
-    else:
-        lines = open(source, "r", encoding="utf-8")
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if len(fields) != 6:
-                raise ParseError(
-                    "run line %d: expected 6 fields, got %d" % (lineno, len(fields))
-                )
-            qid, _, docno, rank_s, score_s, tag = fields
-            try:
-                rank = int(rank_s)
-                score = float(score_s)
-            except ValueError:
-                raise ParseError(
-                    "run line %d: bad rank or score" % lineno
-                ) from None
-            if qid not in runs:
-                runs[qid] = RankedRun(qid=qid, entries=[], tag=tag)
-                docnos_seen[qid] = set()
-            if docno in docnos_seen[qid]:
-                raise ParseError(
-                    "run line %d: duplicate docno %r for query %s"
-                    % (lineno, docno, qid)
-                )
-            docnos_seen[qid].add(docno)
-            runs[qid].entries.append(RunEntry(docno, score, rank))
-    finally:
-        if lines is not source:
-            lines.close()
+    for lineno, line in iter_lines(source, "run"):
+        fields = line.split()
+        if not fields:
+            continue
+        if len(fields) != 6:
+            raise ParseError(
+                "run line %d: expected 6 fields, got %d" % (lineno, len(fields))
+            )
+        qid, _, docno, rank_s, score_s, tag = fields
+        try:
+            rank = int(rank_s)
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(
+                "run line %d: bad rank or score" % lineno
+            ) from None
+        if qid not in runs:
+            runs[qid] = RankedRun(qid=qid, entries=[], tag=tag)
+            docnos_seen[qid] = set()
+        if docno in docnos_seen[qid]:
+            raise ParseError(
+                "run line %d: duplicate docno %r for query %s"
+                % (lineno, docno, qid)
+            )
+        docnos_seen[qid].add(docno)
+        runs[qid].entries.append(RunEntry(docno, score, rank))
     for run in runs.values():
         run.entries.sort(key=lambda e: e.rank)
     return list(runs.values())
@@ -341,7 +332,6 @@ def cmd_index(args) -> int:
         raise UsageError("no output path given (flag --out or config out=)")
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
     selection = _merged(args, "stoplist", str, "none")
-    workers = _merged(args, "workers", int, 1)
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
     _require_paths(*corpus)
@@ -351,9 +341,7 @@ def cmd_index(args) -> int:
         for path in _expand_paths(corpus):
             yield from parse_trec_documents(_read_text_file(path, encoding))
 
-    index = build_index(
-        documents(), stoplist=stoplist, strip_marks=not keep_marks, workers=workers
-    )
+    index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
     index.save(out_path)
     print("documents:           %d" % index.N)
     print("tokens:              %d" % index.total_tokens)
@@ -390,19 +378,10 @@ def cmd_search(args) -> int:
     index = Index.load(index_path)
     topics = parse_topics(_read_text_file(topics_path, encoding))
 
-    if model == "BM25":
-        params = BM25Params(
-            k1=_merged(args, "k1", float, 1.2),
-            b=_merged(args, "b", float, 0.75),
-            k3=_merged(args, "k3", float, 7.0),
-        )
-    elif model == "TFIDF":
-        params = TFIDFParams(
-            k1=_merged(args, "k1", float, 1.0),
-            b=_merged(args, "b", float, 0.3),
-        )
-    else:
-        params = DirichletParams(mu=_merged(args, "mu", float, 2000.0))
+    # options the model does not take are ignored; unset ones keep defaults
+    param_type = PARAMS[model]
+    given = {f.name: _merged(args, f.name, float, None) for f in fields(param_type)}
+    params = param_type(**{k: v for k, v in given.items() if v is not None})
 
     tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
     scorer = SCORERS[model]
@@ -577,7 +556,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", help="index file to write")
     p.add_argument("--encoding", choices=sorted(ENCODINGS))
     p.add_argument("--stoplist", help="none, GS, CBS, CS, or a stoplist file")
-    p.add_argument("--workers", type=int, help="parallel tokenization workers")
+    p.add_argument("--workers", type=int,
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--keep-marks", dest="keep_marks", action="store_const",
                    const=True, help="keep diacritics and tatweel")
     p.add_argument("--config", help="key=value manifest; flags win")
@@ -651,16 +631,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except UnicodeDecodeError as exc:
         print("error: cannot decode input: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -7,34 +7,45 @@ When a stoplist is supplied it is applied while indexing, so document
 lengths and collection statistics all reflect the removal; the list itself
 is stored in the index so queries can be filtered identically later.
 
-Index file format (version ``ARIDX001``), little-endian throughout:
+Index file format (version ``ARIDX002``), little-endian throughout, laid
+out in columns:
 
-    magic            8 bytes  b"ARIDX001"
-    meta_len         uint32
-    meta             meta_len bytes of UTF-8 JSON (stoplist, flags)
-    N                uint32
-    total_tokens     uint64
-    doc table        N records: uint16 docno_len, docno UTF-8, uint32 dl
-    vocab_size       uint32
-    postings         per term, sorted by term string:
-                     uint16 term_len, term UTF-8, uint32 df, uint64 ctf,
-                     then df pairs of (uint32 doc ordinal, uint32 tf)
+    magic            8 bytes  b"ARIDX002"
+    header           4 x uint64: N, vocab_size, postings, meta_len
+    doc_lengths      N x uint32
+    df               vocab_size x uint32, one per term in sorted order
+    postings         postings x (uint32 doc ordinal, uint32 tf), term after
+                     term, ordinals ascending within a term
+    meta             meta_len bytes of UTF-8 JSON: docnos, terms (sorted),
+                     total_tokens, stoplist, strip_marks, stopwords_removed
+    checksum         uint32 CRC-32 of every byte before it
 
 Writing is fully deterministic, so equal indexes serialize byte-identically.
+Files in the retired ``ARIDX001`` format are refused: rebuild them.
 """
 
 import json
+import os
 import re
 import struct
+import zlib
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from functools import cached_property
+from itertools import accumulate
+from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError
 from .stoplists import Stoplist
 from .textpipe import normalize, tokenize
 
-MAGIC = b"ARIDX001"
+MAGIC = b"ARIDX002"
+_HEADER = struct.Struct("<8s4Q")
+_CHECKSUM = struct.Struct("<I")
+_U32 = np.dtype("<u4")
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
@@ -77,8 +88,13 @@ class Index:
 
     Attributes:
         docnos: document identifier per ordinal.
-        doc_lengths: token count per ordinal (post-normalization/stoplist).
-        postings: term -> list of (ordinal, tf), ordinals ascending.
+        doc_lengths: uint32 token count per ordinal (post-normalization and
+            stoplist).
+        terms: the vocabulary in sorted order.
+        doc_freqs: uint32 document frequency per term of ``terms``.
+        pairs: uint32 array of ``(ordinal, tf)`` rows, one per posting,
+            grouped by term in ``terms`` order, ordinals ascending.
+        postings: term -> its rows of ``pairs`` (a view of length df).
         ctf: term -> collection frequency.
         total_tokens: sum of all document lengths.
         stoplist: the list applied at build time, or None.
@@ -89,18 +105,29 @@ class Index:
     def __init__(
         self,
         docnos: list[str],
-        doc_lengths: list[int],
-        postings: dict[str, list[tuple[int, int]]],
-        ctf: dict[str, int],
+        doc_lengths: np.ndarray,
+        terms: list[str],
+        doc_freqs: np.ndarray,
+        pairs: np.ndarray,
         total_tokens: int,
         stoplist: Stoplist | None = None,
         strip_marks: bool = True,
         stopwords_removed: int = 0,
     ):
+        ends = np.cumsum(doc_freqs, dtype=np.int64)
+        if len(doc_freqs) != len(terms) or (ends[-1] if len(ends) else 0) != len(pairs):
+            raise ValueError("postings table size mismatch")
+        starts = ends - doc_freqs
+        mass = np.concatenate(([0], np.cumsum(pairs[:, 1], dtype=np.uint64)))
         self.docnos = docnos
         self.doc_lengths = doc_lengths
-        self.postings = postings
-        self.ctf = ctf
+        self.terms = terms
+        self.doc_freqs = doc_freqs
+        self.pairs = pairs
+        self.postings = {
+            term: pairs[a:b] for term, a, b in zip(terms, starts.tolist(), ends.tolist())
+        }
+        self.ctf = dict(zip(terms, (mass[ends] - mass[starts]).tolist()))
         self.total_tokens = total_tokens
         self.stoplist = stoplist
         self.strip_marks = strip_marks
@@ -118,133 +145,130 @@ class Index:
     def vocabulary_size(self) -> int:
         return len(self.postings)
 
+    @cached_property
+    def docno_rank(self) -> np.ndarray:
+        """Position of each ordinal's docno in ascending docno order."""
+        rank = np.empty(self.N, dtype=np.int64)
+        rank[sorted(range(self.N), key=self.docnos.__getitem__)] = np.arange(self.N)
+        return rank
+
     def df(self, term: str) -> int:
-        plist = self.postings.get(term)
-        return len(plist) if plist else 0
+        return len(self.postings.get(term, ()))
 
     def check(self) -> None:
         """Verify the structural invariants; raises ValueError on breakage."""
-        if len(self.doc_lengths) != self.N:
+        n, terms = self.N, self.terms
+        ordinals, tfs = self.pairs[:, 0], self.pairs[:, 1]
+        if len(self.doc_lengths) != n:
             raise ValueError("doc table size mismatch")
-        if sum(self.doc_lengths) != self.total_tokens:
+        if int(self.doc_lengths.sum(dtype=np.uint64)) != self.total_tokens:
             raise ValueError("sum of document lengths != total_tokens")
-        if sum(self.ctf.values()) != self.total_tokens:
+        if int(tfs.sum(dtype=np.uint64)) != self.total_tokens:
             raise ValueError("sum of collection frequencies != total_tokens")
-        for term, plist in self.postings.items():
-            if sum(tf for _, tf in plist) != self.ctf.get(term):
-                raise ValueError("ctf mismatch for term %r" % term)
-            if len(plist) > self.N:
-                raise ValueError("df > N for term %r" % term)
-            if any(tf < 1 for _, tf in plist):
-                raise ValueError("tf < 1 for term %r" % term)
-            if any(b <= a for (a, _), (b, _) in zip(plist, plist[1:])):
-                raise ValueError("postings not sorted for term %r" % term)
+        if len(self.postings) != len(terms) or terms != sorted(terms):
+            raise ValueError("terms not unique and sorted")
+        if (self.doc_freqs < 1).any():
+            raise ValueError("df < 1 for term %r" % terms[self.doc_freqs.argmin()])
+        # rising ordinals below N also bound df by N
+        ends = np.cumsum(self.doc_freqs, dtype=np.int64)
+        falls = np.diff(ordinals.astype(np.int64), prepend=-1) <= 0
+        falls[ends[:-1]] = False  # the first row of a term may fall
+        for bad, what in ((tfs < 1, "tf < 1"), (ordinals >= n, "doc ordinal >= N"),
+                          (falls, "postings not sorted")):
+            if bad.any():
+                term = terms[np.searchsorted(ends, bad.argmax(), side="right")]
+                raise ValueError("%s for term %r" % (what, term))
 
     # -- serialization ----------------------------------------------------
 
     def save(self, dest) -> None:
-        """Write the index to a path or binary file object."""
+        """Write the index to a binary file object, or to a path by way of
+        a temporary file beside it, so a failed save leaves no file."""
+        data = self._encode()
         if hasattr(dest, "write"):
-            self._write(dest)
-        else:
-            with open(dest, "wb") as f:
-                self._write(f)
+            dest.write(data)
+            return
+        tmp = "%s.%d.tmp" % (os.fspath(dest), os.getpid())
+        try:
+            with open(tmp, "wb") as f:
+                f.write(data)
+            os.replace(tmp, dest)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
-    def _write(self, f) -> None:
-        meta: dict = {
+    def _encode(self) -> bytes:
+        meta = {
+            "docnos": self.docnos,
+            "terms": self.terms,
+            "total_tokens": self.total_tokens,
             "strip_marks": self.strip_marks,
             "stopwords_removed": self.stopwords_removed,
-            "stoplist": None,
-        }
-        if self.stoplist is not None:
-            meta["stoplist"] = {
+            "stoplist": None if self.stoplist is None else {
                 "name": self.stoplist.name,
                 "provenance": self.stoplist.provenance,
                 "words": sorted(self.stoplist.words),
-            }
+            },
+        }
         blob = json.dumps(
             meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<IQ", self.N, self.total_tokens))
-        for docno, dl in zip(self.docnos, self.doc_lengths):
-            b = docno.encode("utf-8")
-            f.write(struct.pack("<H", len(b)))
-            f.write(b)
-            f.write(struct.pack("<I", dl))
-        f.write(struct.pack("<I", len(self.postings)))
-        for term in sorted(self.postings):
-            plist = self.postings[term]
-            tb = term.encode("utf-8")
-            f.write(struct.pack("<H", len(tb)))
-            f.write(tb)
-            f.write(struct.pack("<IQ", len(plist), self.ctf[term]))
-            flat = [x for pair in plist for x in pair]
-            f.write(struct.pack("<%dI" % len(flat), *flat))
+        data = b"".join([
+            _HEADER.pack(MAGIC, self.N, len(self.terms), len(self.pairs), len(blob)),
+            *(np.asarray(column, dtype=_U32).tobytes()
+              for column in (self.doc_lengths, self.doc_freqs, self.pairs)),
+            blob,
+        ])
+        return data + _CHECKSUM.pack(zlib.crc32(data))
 
     @classmethod
     def load(cls, src) -> "Index":
-        """Read an index written by :meth:`save`."""
-        if hasattr(src, "read"):
-            return cls._read(src)
-        with open(src, "rb") as f:
-            return cls._read(f)
-
-    @classmethod
-    def _read(cls, f) -> "Index":
-        def take(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
-                raise ParseError("truncated index file")
-            return data
-
-        if take(len(MAGIC)) != MAGIC:
-            raise ParseError("not an index file (bad magic)")
-        (meta_len,) = struct.unpack("<I", take(4))
-        meta = json.loads(take(meta_len).decode("utf-8"))
-        n, total_tokens = struct.unpack("<IQ", take(12))
-        docnos: list[str] = []
-        doc_lengths: list[int] = []
-        for _ in range(n):
-            (name_len,) = struct.unpack("<H", take(2))
-            docnos.append(take(name_len).decode("utf-8"))
-            (dl,) = struct.unpack("<I", take(4))
-            doc_lengths.append(dl)
-        (vocab,) = struct.unpack("<I", take(4))
-        postings: dict[str, list[tuple[int, int]]] = {}
-        ctf: dict[str, int] = {}
-        for _ in range(vocab):
-            (term_len,) = struct.unpack("<H", take(2))
-            term = take(term_len).decode("utf-8")
-            df, tctf = struct.unpack("<IQ", take(12))
-            flat = struct.unpack("<%dI" % (2 * df), take(8 * df))
-            postings[term] = list(zip(flat[0::2], flat[1::2]))
-            ctf[term] = tctf
-        stoplist = None
-        if meta.get("stoplist"):
-            s = meta["stoplist"]
-            stoplist = Stoplist(
-                name=s["name"],
-                words=frozenset(s["words"]),
-                provenance=s["provenance"],
-            )
-        index = cls(
-            docnos=docnos,
-            doc_lengths=doc_lengths,
-            postings=postings,
-            ctf=ctf,
-            total_tokens=total_tokens,
-            stoplist=stoplist,
-            strip_marks=bool(meta.get("strip_marks", True)),
-            stopwords_removed=int(meta.get("stopwords_removed", 0)),
-        )
+        """Read an index written by :meth:`save` from a path or binary file
+        object.  Any damage to the file raises :class:`ParseError`."""
+        data = src.read() if hasattr(src, "read") else Path(src).read_bytes()
         try:
+            index = cls._decode(data)
             index.check()
-        except ValueError as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ParseError("corrupt index file: %s" % exc) from exc
         return index
+
+    @classmethod
+    def _decode(cls, data: bytes) -> "Index":
+        if data[: len(MAGIC)] == b"ARIDX001":
+            raise ParseError("index file has the retired ARIDX001 format; "
+                             "rebuild the index with `stoplab index`")
+        if data[: len(MAGIC)] != MAGIC:
+            raise ParseError("not an index file (bad magic)")
+        if len(data) < _HEADER.size + _CHECKSUM.size:
+            raise ParseError("truncated index file")
+        _, n, vocab, npairs, meta_len = _HEADER.unpack_from(data)
+        sizes = [4 * n, 4 * vocab, 8 * npairs, meta_len]
+        offsets = list(accumulate(sizes, initial=_HEADER.size))
+        end = offsets[-1]
+        if len(data) < end + _CHECKSUM.size:
+            raise ParseError("truncated index file")
+        if len(data) > end + _CHECKSUM.size:
+            raise ParseError("corrupt index file: trailing bytes")
+        if zlib.crc32(memoryview(data)[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
+            raise ParseError("corrupt index file: checksum mismatch")
+        sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
+        doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
+        meta = json.loads(bytes(sections[3]).decode("utf-8"))
+        if not all(isinstance(x, str) for x in meta["docnos"] + meta["terms"]):
+            raise ValueError("docnos and terms must be strings")
+        s = meta["stoplist"]
+        return cls(
+            docnos=meta["docnos"],
+            doc_lengths=doc_lengths,
+            terms=meta["terms"],
+            doc_freqs=doc_freqs,
+            pairs=pairs.reshape(-1, 2),
+            total_tokens=int(meta["total_tokens"]),
+            stoplist=s and Stoplist(s["name"], frozenset(s["words"]), s["provenance"]),
+            strip_marks=bool(meta["strip_marks"]),
+            stopwords_removed=int(meta["stopwords_removed"]),
+        )
 
 
 def build_index(
@@ -255,55 +279,43 @@ def build_index(
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
 
-    The result is independent of ``workers``: per-document preparation may
-    run on a thread pool, but documents are merged strictly in input order,
-    so ordinals, postings and serialized bytes never vary.
+    Documents are counted one at a time, in input order, into flat
+    ``(term id, tf)`` buffers; one stable sort by term then yields every
+    term's postings with ordinals ascending.  ``workers`` is accepted for
+    compatibility and has no effect: the build is serial, since
+    tokenization holds the GIL and threads only slowed it down.
     """
-
-    def prep(item: tuple[str, str]) -> tuple[str, Counter, int]:
-        docno, text = item
+    vocab: dict[str, int] = {}  # term -> id in order of first appearance
+    term_ids, tfs, doc_lengths, doc_terms = (array("I") for _ in range(4))
+    docnos: list[str] = []
+    seen: set[str] = set()
+    removed = 0
+    for docno, text in docs:
+        if docno in seen:
+            raise ParseError("duplicate docno %r" % docno)
+        seen.add(docno)
         tokens = tokenize(normalize(text, strip_marks=strip_marks))
         kept = stoplist.filter(tokens) if stoplist is not None else tokens
-        return docno, Counter(kept), len(tokens) - len(kept)
+        counts = Counter(kept)
+        docnos.append(docno)
+        doc_lengths.append(len(kept))
+        doc_terms.append(len(counts))
+        removed += len(tokens) - len(kept)
+        term_ids.extend([vocab.setdefault(term, len(vocab)) for term in counts])
+        tfs.extend(counts.values())
 
-    if workers > 1:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        prepared = pool.map(prep, docs, chunksize=16)
-    else:
-        pool = None
-        prepared = map(prep, docs)
-
-    docnos: list[str] = []
-    doc_lengths: list[int] = []
-    postings: dict[str, list[tuple[int, int]]] = {}
-    ctf: dict[str, int] = {}
-    seen: set[str] = set()
-    total_tokens = 0
-    removed = 0
-    try:
-        for docno, counts, n_removed in prepared:
-            if docno in seen:
-                raise ParseError("duplicate docno %r" % docno)
-            seen.add(docno)
-            ordinal = len(docnos)
-            docnos.append(docno)
-            dl = sum(counts.values())
-            doc_lengths.append(dl)
-            total_tokens += dl
-            removed += n_removed
-            for term, tf in counts.items():
-                postings.setdefault(term, []).append((ordinal, tf))
-                ctf[term] = ctf.get(term, 0) + tf
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
+    terms = sorted(vocab)
+    position = np.argsort(np.array([vocab[t] for t in terms], dtype=np.int64))
+    keys = position[np.asarray(term_ids, dtype=np.int64)]  # sorted term position
+    order = np.argsort(keys, kind="stable")
+    ordinals = np.repeat(np.arange(len(docnos), dtype=np.uint32), doc_terms)
     index = Index(
         docnos=docnos,
-        doc_lengths=doc_lengths,
-        postings=postings,
-        ctf=ctf,
-        total_tokens=total_tokens,
+        doc_lengths=np.array(doc_lengths, dtype=np.uint32),
+        terms=terms,
+        doc_freqs=np.bincount(keys, minlength=len(terms)).astype(np.uint32),
+        pairs=np.column_stack((ordinals[order], np.asarray(tfs, dtype=np.uint32)[order])),
+        total_tokens=sum(doc_lengths),
         stoplist=stoplist,
         strip_marks=strip_marks,
         stopwords_removed=removed,

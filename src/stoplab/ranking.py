@@ -33,10 +33,12 @@ form:
     tf = 0).  Query terms absent from the collection are dropped with a
     warning, since p(t|C) = 0 has no likelihood reading.
 
-For BM25 and TF*IDF only documents containing at least one query term are
-candidates.  Entries are ordered by descending score, ties broken by docno
-ascending, ranks numbered from 1; identical inputs always produce identical
-runs.
+The models share one scoring core, which adds each model's per-posting
+weight into document scores in sorted-term order and then ranks; KL also
+starts every document at its length term.  BM25 and TF*IDF rank only the
+documents containing a query term.  Entries are ordered by descending
+score, ties broken by docno ascending, ranks numbered from 1; identical
+inputs always produce identical runs.
 """
 
 import logging
@@ -44,6 +46,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from .index import Index
 from .stoplists import Stoplist
@@ -121,13 +125,51 @@ class RankedRun:
     tag: str
 
 
-def _finish(qid: str, scored: list[tuple[str, float]], top_k: int, tag: str) -> RankedRun:
-    scored.sort(key=lambda item: (-item[1], item[0]))
+def _per_distinct(f, values: np.ndarray) -> np.ndarray:
+    """``f`` of every element, called once per distinct value on Python
+    numbers, so each result equals the scalar ``math`` computation."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+
+
+def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
+          prior: np.ndarray | None = None) -> RankedRun:
+    """The scoring core: for each query term the index holds, in sorted
+    order (so scores are bit-stable), add ``weight(term, qtf, tf, dl)`` to
+    the scores of its postings' documents.  Scores start at zero, and the
+    candidates are the matched documents; or, given a ``prior``, at the
+    prior, and every document is a candidate.  No match, no entries.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    scores = np.zeros(index.N) if prior is None else prior
+    matched = np.zeros(index.N, dtype=bool)
+    for term in sorted(query.terms):
+        plist = index.postings.get(term)
+        if plist is None:
+            continue
+        ordinals = plist[:, 0]
+        scores[ordinals] += weight(
+            term, query.terms[term], plist[:, 1], index.doc_lengths[ordinals]
+        )
+        matched[ordinals] = True
+    if not matched.any():
+        return RankedRun(qid=query.qid, entries=[], tag=tag)
+    candidates = np.flatnonzero(matched) if prior is None else np.arange(index.N)
+    values = scores[candidates]
+    if len(candidates) > top_k:
+        # keep every score tied with the top_k-th best; the sort settles ties
+        cut = len(candidates) - top_k
+        keep = values >= np.partition(values, cut)[cut]
+        candidates, values = candidates[keep], values[keep]
+    order = np.lexsort((index.docno_rank[candidates], -values))[:top_k]
     entries = [
-        RunEntry(docno, score, rank)
-        for rank, (docno, score) in enumerate(scored[:top_k], start=1)
+        RunEntry(index.docnos[ordinal], score, rank)
+        for rank, (ordinal, score) in enumerate(
+            zip(candidates[order].tolist(), values[order].tolist()), start=1
+        )
     ]
-    return RankedRun(qid=qid, entries=entries, tag=tag)
+    return RankedRun(qid=query.qid, entries=entries, tag=tag)
 
 
 def score_bm25(
@@ -139,26 +181,17 @@ def score_bm25(
 ) -> RankedRun:
     """Rank with Okapi BM25.  A query with no indexed terms yields an
     empty run."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    n = index.N
-    avgdl = index.avgdl
+    n, avgdl = index.N, index.avgdl
     k1, b, k3 = params.k1, params.b, params.k3
-    scores: dict[int, float] = {}
-    for term in sorted(query.terms):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        qtf = query.terms[term]
-        df = len(plist)
+
+    def weight(term, qtf, tf, dl):
+        df = index.df(term)
         idf = math.log((n - df + 0.5) / (df + 0.5))
         qpart = (k3 + 1.0) * qtf / (k3 + qtf)
-        for ordinal, tf in plist:
-            big_k = k1 * ((1.0 - b) + b * index.doc_lengths[ordinal] / avgdl)
-            contribution = idf * ((k1 + 1.0) * tf / (big_k + tf)) * qpart
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-    scored = [(index.docnos[o], s) for o, s in scores.items()]
-    return _finish(query.qid, scored, top_k, tag)
+        big_k = k1 * ((1.0 - b) + b * dl / avgdl)
+        return idf * ((k1 + 1.0) * tf / (big_k + tf)) * qpart
+
+    return _rank(index, query, weight, top_k, tag)
 
 
 def score_tfidf(
@@ -170,26 +203,16 @@ def score_tfidf(
 ) -> RankedRun:
     """Rank with TF*IDF using BM25-style document tf and raw qtf * idf on
     the query side."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    n = index.N
-    avgdl = index.avgdl
+    n, avgdl = index.N, index.avgdl
     k1, b = params.k1, params.b
-    scores: dict[int, float] = {}
-    for term in sorted(query.terms):
-        plist = index.postings.get(term)
-        if not plist:
-            continue
-        qtf = query.terms[term]
-        df = len(plist)
-        idf = math.log(n / df)
+
+    def weight(term, qtf, tf, dl):
+        idf = math.log(n / index.df(term))
         qweight = qtf * idf
-        for ordinal, tf in plist:
-            denom = tf + k1 * ((1.0 - b) + b * index.doc_lengths[ordinal] / avgdl)
-            contribution = (k1 * tf / denom) * idf * qweight
-            scores[ordinal] = scores.get(ordinal, 0.0) + contribution
-    scored = [(index.docnos[o], s) for o, s in scores.items()]
-    return _finish(query.qid, scored, top_k, tag)
+        denom = tf + k1 * ((1.0 - b) + b * dl / avgdl)
+        return (k1 * tf / denom) * idf * qweight
+
+    return _rank(index, query, weight, top_k, tag)
 
 
 def score_kl_dirichlet(
@@ -204,28 +227,22 @@ def score_kl_dirichlet(
     All documents are candidates.  The ordering equals exhaustive scoring
     of ln prod p(t|d)^qtf with p(t|d) = (tf + mu*p(t|C)) / (dl + mu).
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
     mu = params.mu
-    terms: dict[str, int] = {}
+    qlen = 0
     for term, qtf in query.terms.items():
         if index.ctf.get(term, 0) > 0:
-            terms[term] = qtf
+            qlen += qtf
         else:
             logger.warning(
                 "query %s: term %r absent from collection, dropped", query.qid, term
             )
-    if not terms:
-        return RankedRun(qid=query.qid, entries=[], tag=tag)
-    qlen = sum(terms.values())
-    scores = [qlen * math.log(mu / (mu + dl)) for dl in index.doc_lengths]
-    for term in sorted(terms):
-        qtf = terms[term]
+
+    def weight(term, qtf, tf, dl):
         p_coll = index.ctf[term] / index.total_tokens
-        for ordinal, tf in index.postings[term]:
-            scores[ordinal] += qtf * math.log(1.0 + tf / (mu * p_coll))
-    scored = list(zip(index.docnos, scores))
-    return _finish(query.qid, scored, top_k, tag)
+        return qtf * _per_distinct(lambda t: math.log(1.0 + t / (mu * p_coll)), tf)
+
+    prior = qlen * _per_distinct(lambda dl: math.log(mu / (mu + dl)), index.doc_lengths)
+    return _rank(index, query, weight, top_k, tag, prior)
 
 
 SCORERS = {

@@ -16,13 +16,12 @@ File format: UTF-8, one word per line, blank lines and ``#`` comment lines
 ignored, no ordering requirement.
 """
 
-import os
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import ParseError
+from .errors import iter_lines
 from .textpipe import normalize
 
 PROVENANCES = ("general", "corpus-based", "combined", "custom")
@@ -52,21 +51,6 @@ class Stoplist:
         return [t for t in tokens if t not in words]
 
 
-def filter_tokens(tokens: Iterable[str], stoplist: Stoplist) -> list[str]:
-    """Functional alias for :meth:`Stoplist.filter`."""
-    return stoplist.filter(tokens)
-
-
-def _iter_lines(source):
-    if hasattr(source, "read"):
-        yield from source
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            yield from f
-    else:
-        yield from source
-
-
 def load_stoplist(source, name: str, provenance: str = "custom") -> Stoplist:
     """Read a stoplist from a path, open file, or iterable of lines.
 
@@ -74,15 +58,7 @@ def load_stoplist(source, name: str, provenance: str = "custom") -> Stoplist:
     UTF-8 raises :class:`ParseError` naming the offending line.
     """
     words = set()
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    "stoplist %r: invalid UTF-8 on line %d: %s"
-                    % (name, lineno, exc.reason)
-                ) from exc
+    for _, line in iter_lines(source, "stoplist %r" % name):
         word = line.strip()
         if not word or word.startswith("#"):
             continue

@@ -9,27 +9,16 @@ trec_eval convention.  Recall denominators always come from the judgments,
 never from what was retrieved.
 """
 
-import os
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import ParseError, iter_lines
 from .ranking import RankedRun
 
 CUTOFF_LEVELS = (5, 10, 15, 20, 30, 100, 200, 500, 1000)
 RECALL_LEVELS = tuple(i / 10 for i in range(11))
 
 Qrels = dict[str, set[str]]
-
-
-def _iter_lines(source):
-    if hasattr(source, "read"):
-        yield from source
-    elif isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            yield from f
-    else:
-        yield from source
 
 
 def parse_qrels(source) -> Qrels:
@@ -40,7 +29,7 @@ def parse_qrels(source) -> Qrels:
     set.
     """
     qrels: Qrels = {}
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, line in iter_lines(source, "qrels"):
         fields = line.split()
         if not fields:
             continue

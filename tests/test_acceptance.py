@@ -14,6 +14,7 @@ Tolerances are fixed here and nowhere else:
 9. idempotence:                    10,000 random strings, exact
 """
 
+import hashlib
 import io
 import math
 import random
@@ -284,6 +285,62 @@ def _write_desk_corpus(tmp, rng):
     return corpus, topics, qrels
 
 
+# sha256 of the files criterion 8 writes; scores, ranks and reports are
+# pinned byte for byte, not only within the oracle tolerances.
+DESK_DIGESTS = {
+    "BM25.run":
+        "4205b83f8be9c9f37fa39d785f45f356e005f4dfae18bb16d3f7140bb6cf5bdc",
+    "BM25.tsv":
+        "42cb90cc4162538202401170c89cbfb3824ea7e42ec9b592bfe333e354fff7a4",
+    "BM25_CBS.run":
+        "39618077e6e4e9b74f82502af40436455a2f1137b1e85e83ab58ab89cd129cda",
+    "BM25_CBS.tsv":
+        "8c5c483ec5ac5da8d58feb454dccc5045ef78635ee33a451dd3ea674826f4bc6",
+    "BM25_CS.run":
+        "73a997329b153f17109442e5bb83c278f94e161702fff74acb2ae0b7efcdd962",
+    "BM25_CS.tsv":
+        "e7ce2237ca47c1fc6a3d4df35d40c61ca4981153958cdde9de3ac92bccef295e",
+    "BM25_GS.run":
+        "4361cb63351a43f64d9605fbaa63f62856769d931c8fb88f295f2ac7aa778112",
+    "BM25_GS.tsv":
+        "8813d93ccf25f22a250717c649bfe09196d10ea059d5f5b7d85e99291ae5eeb1",
+    "KL.run":
+        "0e195b6660c1f35f90f366d040265bfb31af89a89cd1aaee1b2590a9042c1080",
+    "KL.tsv":
+        "1603761c05e6db3161275868f388e0f13935e74da31fb6d7ccfa17f3e01be83b",
+    "KL_CBS.run":
+        "8611d8343359142fb7ff53fff39584259cc18cb1d9951dd8b22b2682c40b8edf",
+    "KL_CBS.tsv":
+        "48f9621b0ab7f52299bf4be5f74e26df67f39af129f2dc5d5d7dc708d0e101b7",
+    "KL_CS.run":
+        "fbd79c75db9be6a4dc13df906cdff5ecaecd01312c447c52f58792ea964f1fb5",
+    "KL_CS.tsv":
+        "b4c8fb9310faa298860e090ae97c04b5153c0a1751e17dbe427d0678fc61c031",
+    "KL_GS.run":
+        "cc0b30571db737cb5222a07ac9fea72e98aedd5fdb4ccd0e2b5806d7be6ba4d0",
+    "KL_GS.tsv":
+        "22868012920f5ce7b169d39f2512ec03b9efce00c13043b9e462fcf437cab275",
+    "TFIDF.run":
+        "e96af8b9ce2f3dde74ddb7848a66b24dd279f6a7fb8574df4f9e5d0b46b75dee",
+    "TFIDF.tsv":
+        "dbcdf5590d7cd6520a792939a60908bdd105322307e12d193c265c1b07d398d7",
+    "TFIDF_CBS.run":
+        "658913f2b4cc5894bafe867e66d17bd5a387a3aa49856d00e1a9707dec760d9e",
+    "TFIDF_CBS.tsv":
+        "8348e5171e3d8e95567ab6efbee3e78baf952db95ffd5dd1d857c5034dd2e30c",
+    "TFIDF_CS.run":
+        "4c79c319471bc8af9fb912e5508d3deb886002ae44958d534a611a491a9bd871",
+    "TFIDF_CS.tsv":
+        "1a324baa32749c18899bfaa26d34c2ccf8700a31a5ab7994b7bc056a648e91db",
+    "TFIDF_GS.run":
+        "467d65c07e35e0bc3834e986c532f03e41676026a07c9d46ac46e41e03cc13e6",
+    "TFIDF_GS.tsv":
+        "125b3f1e4cd54456e85399eb72efa980beef4c13b1b19205a59178cd8a32bb61",
+    "compare":
+        "8518bda52e19a645c9268175386d4e2d7069f82b282a6d403b740ac240a3e407",
+}
+
+
 def test_criterion_8_desk_scale_experiment(tmp_path, capsys):
     failures = []
     rng = random.Random(1008)
@@ -353,6 +410,13 @@ def test_criterion_8_desk_scale_experiment(tmp_path, capsys):
         tag, rows = read_report_tsv(str(tsv))
         if len(rows) != 20:
             failures.append("%s: expected 20 per-query rows" % tsv.name)
+    written = {name: tmp_path / name for name in DESK_DIGESTS if name != "compare"}
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in written.items()}
+    digests["compare"] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    for name, digest in sorted(digests.items()):
+        if digest != DESK_DIGESTS[name]:
+            failures.append("%s bytes differ from the pinned digest" % name)
     report(8, "desk-scale 12-technique experiment in %.1fs" % elapsed, failures)
 
 

@@ -1,5 +1,6 @@
 import gzip
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from stoplab.cli import main, parse_topics, read_report_tsv, read_run_file
 from stoplab.errors import ParseError
 from stoplab.index import Index
+
+from test_index import _damage_cases
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -453,6 +456,59 @@ class TestDeterminism:
                          "--model", "KL", "--out", str(run)]) == 0
             outs.append(run.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestIndexFiles:
+    def test_long_token_indexes_and_round_trips(self, tmp_path, capsys):
+        token = "ق" * 35_000  # 70,000 UTF-8 bytes
+        corpus = tmp_path / "long.sgml"
+        corpus.write_text("<DOC><DOCNO>L1</DOCNO><TEXT>%s b</TEXT></DOC>"
+                          "<DOC><DOCNO>L2</DOCNO><TEXT>b</TEXT></DOC>" % token,
+                          encoding="utf-8")
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num>1</num><title>%s</title></top>" % token,
+                          encoding="utf-8")
+        idx, run = tmp_path / "long.idx", tmp_path / "long.run"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        assert main(["search", "--index", str(idx), "--topics", str(topics),
+                     "--model", "BM25", "--out", str(run)]) == 0
+        assert Index.load(idx).df(token) == 1
+        assert [line.split()[2] for line in run.read_text().splitlines()] == ["L1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "long.idx", "long.run", "long.sgml", "topics.txt"]
+
+    def test_failed_build_leaves_no_file(self, tmp_path, capsys):
+        corpus = tmp_path / "dup.sgml"
+        corpus.write_text("<DOC><DOCNO>D1</DOCNO><TEXT>a</TEXT></DOC>" * 2,
+                          encoding="utf-8")
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp_path / "d.idx")])
+        assert rc == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["dup.sgml"]
+
+    def test_old_format_asks_for_rebuild(self, toy, capsys):
+        tmp, _, topics = toy
+        old = tmp / "old.idx"
+        old.write_bytes(b"ARIDX001" + bytes(40))
+        assert main(["search", "--index", str(old), "--topics", str(topics)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert "rebuild" in err and len(err.splitlines()) == 1
+        assert main(["stoplist", "build", "--index", str(old), "--cutoff", "1",
+                     "--out", str(tmp / "x.txt")]) == 2
+
+    def test_damaged_index_exits_2(self, toy, capsys):
+        tmp, corpus, topics = toy
+        idx = tmp / "t.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        blob = idx.read_bytes()
+        damaged_path = tmp / "damaged.idx"
+        for case, damaged in _damage_cases(blob, random.Random(41), 1):
+            damaged_path.write_bytes(damaged)
+            capsys.readouterr()
+            rc = main(["search", "--index", str(damaged_path), "--topics", str(topics)])
+            err = capsys.readouterr().err.strip()
+            assert rc == 2, case
+            assert len(err.splitlines()) == 1, case
 
 
 class TestConfigFiles:

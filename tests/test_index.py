@@ -1,7 +1,11 @@
+import errno
 import gzip
 import io
 import random
+import struct
+import zlib
 
+import numpy as np
 import pytest
 
 from stoplab.errors import ParseError
@@ -11,6 +15,10 @@ from stoplab.stoplists import Stoplist
 from oracles import random_corpus
 
 TOY_DOCS = [("D1", "a b"), ("D2", "b c"), ("D3", "c c")]
+
+
+def as_lists(postings) -> dict:
+    return {term: plist.tolist() for term, plist in postings.items()}
 
 
 def serialized(index: Index) -> bytes:
@@ -74,7 +82,8 @@ class TestBuildIndex:
 
     def test_toy_with_stoplist(self):
         idx = build_index(TOY_DOCS, stoplist=Stoplist("x", frozenset({"b"})))
-        assert idx.doc_lengths == [1, 1, 2]
+        assert idx.doc_lengths.tolist() == [1, 1, 2]
+        assert as_lists(idx.postings) == {"a": [[0, 1]], "c": [[1, 1], [2, 2]]}
         assert idx.total_tokens == 4
         assert "b" not in idx.postings
         assert idx.stopwords_removed == 2
@@ -92,7 +101,7 @@ class TestBuildIndex:
     def test_empty_documents_kept(self):
         idx = build_index([("D1", ""), ("D2", "a")])
         assert idx.N == 2
-        assert idx.doc_lengths == [0, 1]
+        assert idx.doc_lengths.tolist() == [0, 1]
 
     def test_normalization_applied(self):
         idx = build_index([("D1", "أخبار")])
@@ -123,12 +132,16 @@ class TestBuildIndex:
 
 
 class TestSerialization:
+    def test_empty_stoplist_round_trips(self):
+        idx = build_index(TOY_DOCS, stoplist=Stoplist("none-left", frozenset()))
+        assert Index.load(io.BytesIO(serialized(idx))).stoplist == idx.stoplist
+
     def test_round_trip_preserves_everything(self):
         idx = build_index(TOY_DOCS, stoplist=Stoplist("x", frozenset({"b"})))
         loaded = Index.load(io.BytesIO(serialized(idx)))
         assert loaded.docnos == idx.docnos
-        assert loaded.doc_lengths == idx.doc_lengths
-        assert loaded.postings == idx.postings
+        assert loaded.doc_lengths.tolist() == idx.doc_lengths.tolist()
+        assert as_lists(loaded.postings) == as_lists(idx.postings)
         assert loaded.ctf == idx.ctf
         assert loaded.total_tokens == idx.total_tokens
         assert loaded.stoplist == idx.stoplist
@@ -175,6 +188,84 @@ class TestSerialization:
         path = tmp_path / "toy.idx"
         idx.save(path)
         assert Index.load(path).docnos == idx.docnos
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.idx"]
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "toy.idx"
+        path.write_bytes(b"old")
+
+        class DiskFull:
+            """A file that takes half of a write, then runs out of space."""
+
+            def __init__(self, name, mode):
+                self.f = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                self.f.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr("stoplab.index.open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            build_index(TOY_DOCS).save(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.idx"]
+        assert path.read_bytes() == b"old"
+
+    def test_long_token_and_docno_round_trip(self):
+        token, docno = "ق" * 35_000, "D" * 70_000  # 70,000 UTF-8 bytes each
+        idx = build_index([(docno, token + " b"), ("D2", "b")])
+        loaded = Index.load(io.BytesIO(serialized(idx)))
+        assert loaded.docnos == [docno, "D2"]
+        assert as_lists(loaded.postings) == {token: [[0, 1]], "b": [[0, 1], [1, 1]]}
+
+    def test_old_format_asks_for_rebuild(self):
+        with pytest.raises(ParseError, match="ARIDX001.*rebuild") as info:
+            Index.load(io.BytesIO(b"ARIDX001" + bytes(40)))
+        assert "\n" not in str(info.value)
+
+
+def _damage_cases(blob: bytes, rng: random.Random, flips_per_byte: int):
+    """Every truncation of ``blob`` and, at every position, byte flips
+    with random nonzero masks."""
+    for cut in range(len(blob)):
+        yield "cut %d" % cut, blob[:cut]
+    for pos in range(len(blob)):
+        for _ in range(flips_per_byte):
+            mask = rng.randrange(1, 256)
+            damaged = bytearray(blob)
+            damaged[pos] ^= mask
+            yield "byte %d ^ %d" % (pos, mask), bytes(damaged)
+
+
+class TestCorruptFiles:
+    """A damaged index file fails with ParseError, never another error."""
+
+    def check_all(self, blob: bytes, flips_per_byte: int, seed: int):
+        for case, damaged in _damage_cases(blob, random.Random(seed), flips_per_byte):
+            try:
+                Index.load(io.BytesIO(damaged))
+            except ParseError as exc:
+                assert "\n" not in str(exc), case
+            else:
+                pytest.fail("%s loaded without error" % case)
+
+    def test_toy_with_stoplist_and_arabic(self):
+        idx = build_index(TOY_DOCS + [("وثيقة", "قال b")],
+                          stoplist=Stoplist("x", frozenset({"a"})))
+        self.check_all(serialized(idx), flips_per_byte=3, seed=31)
+
+    def test_empty_index(self):
+        self.check_all(serialized(build_index([])), flips_per_byte=8, seed=32)
+
+    def test_random_corpus(self):
+        rng = random.Random(33)
+        docs = [(d, " ".join(t)) for d, t in random_corpus(rng, max_docs=30)]
+        self.check_all(serialized(build_index(docs)), flips_per_byte=1, seed=34)
 
 
 class TestGzipInput:
@@ -186,3 +277,61 @@ class TestGzipInput:
         with gzip.open(path, "rb") as f:
             docs = list(parse_trec_documents(f.read().decode("utf-8")))
         assert docs[0][0] == "A"
+
+
+def _toy_columns() -> dict:
+    idx = build_index(TOY_DOCS)
+    return dict(docnos=list(idx.docnos), doc_lengths=idx.doc_lengths.copy(),
+                terms=list(idx.terms), doc_freqs=idx.doc_freqs.copy(),
+                pairs=idx.pairs.copy(), total_tokens=idx.total_tokens)
+
+
+class TestCheck:
+    """check() names each broken invariant; the toy index has terms a, b, c
+    with postings a: (0, 1); b: (0, 1), (1, 1); c: (1, 1), (2, 2)."""
+
+    def broken(self, **changes) -> Index:
+        columns = _toy_columns()
+        columns.update(changes)
+        return Index(**columns)
+
+    def test_toy_passes(self):
+        self.broken().check()
+
+    @pytest.mark.parametrize("row, value, message", [
+        (2, (0, 1), "postings not sorted for term 'b'"),
+        (4, (3, 2), "doc ordinal >= N for term 'c'"),
+        (1, (0, 0), "tf < 1 for term 'b'"),
+    ])
+    def test_broken_posting_named(self, row, value, message):
+        pairs = _toy_columns()["pairs"]
+        total = int(pairs[:, 1].sum()) - int(pairs[row, 1]) + value[1]
+        pairs[row] = value
+        index = self.broken(pairs=pairs, total_tokens=total,
+                            doc_lengths=np.array([2, 2, total - 4], dtype=np.uint32))
+        with pytest.raises(ValueError, match=message):
+            index.check()
+
+    def test_mass_mismatch(self):
+        with pytest.raises(ValueError, match="document lengths"):
+            self.broken(total_tokens=7).check()
+
+    def test_terms_must_be_sorted(self):
+        with pytest.raises(ValueError, match="sorted"):
+            self.broken(terms=["b", "a", "c"]).check()
+
+    def test_df_above_n(self):
+        columns = _toy_columns()
+        pairs = np.array([[0, 1], [0, 1], [1, 1], [2, 1], [1, 1], [2, 1]],
+                         dtype=np.uint32)
+        with pytest.raises(ValueError, match="not sorted for term 'b'"):
+            self.broken(pairs=pairs, doc_freqs=np.array([1, 4, 1], dtype=np.uint32),
+                        doc_lengths=columns["doc_lengths"]).check()
+
+    def test_valid_checksum_does_not_hide_broken_invariants(self):
+        blob = bytearray(serialized(build_index(TOY_DOCS)))
+        postings_at = 8 + 4 * 8 + 4 * 3 + 4 * 3  # magic, header, dl and df columns
+        struct.pack_into("<I", blob, postings_at + 4, 5)  # first tf: 1 -> 5
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(ParseError, match="corrupt index file: sum"):
+            Index.load(io.BytesIO(bytes(blob)))

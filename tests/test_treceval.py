@@ -68,6 +68,17 @@ class TestParseQrels:
         with pytest.raises(ParseError, match="line 1"):
             parse_qrels(io.StringIO("1 0 A\n"))
 
+    def test_file_with_any_line_ending(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"1 0 A 1\r\n1 0 B 1\r2 0 C 1\n")
+        assert parse_qrels(path) == {"1": {"A", "B"}, "2": {"C"}}
+
+    def test_invalid_utf8_in_file_names_line(self, tmp_path):
+        path = tmp_path / "q.txt"
+        path.write_bytes(b"1 0 A 1\r\n1 0 \xff 1\n")
+        with pytest.raises(ParseError, match="qrels: invalid UTF-8 on line 2"):
+            parse_qrels(path)
+
 
 class TestEvaluateQuery:
     def test_relevant_at_ranks_one_and_three(self):
