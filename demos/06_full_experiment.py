@@ -6,6 +6,7 @@ Run:  python demos/06_full_experiment.py
 """
 
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,8 +14,15 @@ from stoplab.cli import main
 from stoplab.stoplists import corpus_based, general
 
 rng = random.Random(99)
-tmp = Path(tempfile.mkdtemp(prefix="stoplab_demo_"))
-print("working directory: %s" % tmp)
+workdir = tempfile.TemporaryDirectory(prefix="stoplab_demo_")
+tmp = Path(workdir.name)
+
+
+def stoplab(*argv):
+    """Run one stoplab command; stop the demo if it fails."""
+    if main([str(a) for a in argv]) != 0:
+        sys.exit("stoplab %s failed" % argv[0])
+
 
 # -- synthesize a small corpus whose stopwords come from the bundled lists
 stops = sorted(general().words)[:30] + sorted(corpus_based().words)[:20]
@@ -46,8 +54,8 @@ with open(qrels, "w", encoding="utf-8") as f:
 # -- index once per stoplist strategy
 for code in ("none", "GS", "CBS", "CS"):
     print("\n$ stoplab index --stoplist %s" % code)
-    main(["index", "--corpus", str(corpus), "--out", str(tmp / (code + ".idx")),
-          "--stoplist", code])
+    stoplab("index", "--corpus", corpus, "--out", tmp / (code + ".idx"),
+            "--stoplist", code)
 
 # -- twelve technique combinations, evaluated
 reports = []
@@ -55,17 +63,17 @@ for model in ("TFIDF", "BM25", "KL"):
     for code in ("none", "GS", "CBS", "CS"):
         tag = model if code == "none" else "%s_%s" % (model, code)
         run_file = tmp / (tag + ".run")
-        main(["search", "--index", str(tmp / (code + ".idx")),
-              "--topics", str(topics), "--model", model, "--out", str(run_file)])
+        stoplab("search", "--index", tmp / (code + ".idx"),
+                "--topics", topics, "--model", model, "--out", run_file)
         tsv = tmp / (tag + ".tsv")
-        main(["eval", "--run", str(run_file), "--qrels", str(qrels),
-              "--out", str(tsv)])
-        reports.append(str(tsv))
+        stoplab("eval", "--run", run_file, "--qrels", qrels, "--out", tsv)
+        reports.append(tsv)
 print("\nran %d technique combinations" % len(reports))
 
 # -- the two comparison tables
 print("\n$ stoplab compare ... --baseline TFIDF\n")
-main(["compare"] + reports + ["--baseline", "TFIDF"])
+stoplab("compare", *reports, "--baseline", "TFIDF")
+workdir.cleanup()
 
 print("\n(synthetic relevance, so the precision numbers are noise; the point")
 print("is the workflow and the table shapes)")

@@ -16,15 +16,15 @@ Exit codes: 0 success, 1 usage error, 2 data or parse error.
 """
 
 import argparse
-import gzip
 import logging
 import os
 import re
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 from . import stoplists
-from .errors import ParseError, iter_lines
+from .errors import ParseError, atomic_write, iter_lines, read_text
 from .index import Index, build_index, parse_trec_documents
 from .ranking import (
     BM25Params,
@@ -102,16 +102,6 @@ def _merged(args, key: str, convert, default):
 # -- shared file helpers ----------------------------------------------------
 
 
-def _read_text_file(path: str, encoding: str) -> str:
-    if str(path).endswith(".gz"):
-        with gzip.open(path, "rb") as f:
-            data = f.read()
-    else:
-        with open(path, "rb") as f:
-            data = f.read()
-    return data.decode(encoding)
-
-
 def _expand_paths(paths: list[str]) -> list[str]:
     out: list[str] = []
     for p in paths:
@@ -142,7 +132,7 @@ def _resolve_stoplist(selection: str | None) -> Stoplist | None:
 
 
 def write_stoplist(stoplist: Stoplist, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("# stoplist: %s\n" % stoplist.name)
         f.write("# provenance: %s\n" % stoplist.provenance)
         f.write("# words: %d\n" % len(stoplist))
@@ -165,12 +155,14 @@ def parse_topics(text: str) -> list[tuple[str, str]]:
     blocks = _TOP_RE.findall(text)
     if text.count("<top>") != len(blocks):
         raise ParseError("unterminated <top> block in topics file")
-    topics: list[tuple[str, str]] = []
+    topics: dict[str, str] = {}
     for i, block in enumerate(blocks, start=1):
         m = _NUM_RE.search(block)
         if m is None or not m.group(1).split():
             raise ParseError("topic block %d has no <num>" % i)
         qid = m.group(1).split()[0]
+        if qid in topics:
+            raise ParseError("topic block %d repeats query id %s" % (i, qid))
         title = _TITLE_RE.search(block)
         desc = _DESC_RE.search(block)
         parts = []
@@ -178,8 +170,8 @@ def parse_topics(text: str) -> list[tuple[str, str]]:
             parts.append(title.group(1))
         if desc:
             parts.append(desc.group(1))
-        topics.append((qid, " ".join(p for p in parts if p)))
-    return topics
+        topics[qid] = " ".join(p for p in parts if p)
+    return list(topics.items())
 
 
 # -- run files ---------------------------------------------------------------
@@ -269,52 +261,43 @@ def write_report_text(report: EvalReport, tag: str, out) -> None:
 
 
 def write_report_tsv(report: EvalReport, tag: str, out) -> None:
+    def row(qid, counts, ap, r_precision, cutoffs, interp):
+        values = (ap, r_precision, *(cutoffs[k] for k in CUTOFF_LEVELS), *interp)
+        cells = [tag, qid, *map(str, counts), *("%.17g" % x for x in values)]
+        out.write("\t".join(cells) + "\n")
+
     out.write("\t".join(_TSV_COLUMNS) + "\n")
-
-    def fmt(x: float) -> str:
-        return "%.17g" % x
-
     for q in report.per_query:
-        row = (
-            [tag, q.qid, str(q.num_relevant), str(q.num_retrieved),
-             str(q.num_relevant_retrieved), fmt(q.average_precision),
-             fmt(q.r_precision)]
-            + [fmt(q.cutoff_precision[k]) for k in CUTOFF_LEVELS]
-            + [fmt(p) for p in q.interp_precision]
-        )
-        out.write("\t".join(row) + "\n")
-    summary = (
-        [tag, "all", str(report.total_relevant), str(report.total_retrieved),
-         str(report.total_relevant_retrieved),
-         fmt(report.mean_average_precision), fmt(report.mean_r_precision)]
-        + [fmt(report.mean_cutoff_precision[k]) for k in CUTOFF_LEVELS]
-        + [fmt(p) for p in report.mean_interp_precision]
-    )
-    out.write("\t".join(summary) + "\n")
+        row(q.qid, (q.num_relevant, q.num_retrieved, q.num_relevant_retrieved),
+            q.average_precision, q.r_precision, q.cutoff_precision, q.interp_precision)
+    row("all", (report.total_relevant, report.total_retrieved,
+                report.total_relevant_retrieved),
+        report.mean_average_precision, report.mean_r_precision,
+        report.mean_cutoff_precision, report.mean_interp_precision)
 
 
 def read_report_tsv(path: str) -> tuple[str, dict[str, dict[str, float]]]:
     """Read a per-query report back; returns (tag, qid -> {ap, num_relevant})."""
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n").split("\t")
-        if header[: len(_TSV_COLUMNS)] != list(_TSV_COLUMNS):
-            raise ParseError("%s: not a recognized report file" % path)
-        tag = None
-        rows: dict[str, dict[str, float]] = {}
-        for lineno, line in enumerate(f, start=2):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != len(_TSV_COLUMNS):
-                raise ParseError("%s line %d: wrong field count" % (path, lineno))
-            if tag is None:
-                tag = fields[0]
-            if fields[1] == "all":
-                continue
-            rows[fields[1]] = {
-                "ap": float(fields[5]),
-                "num_relevant": int(fields[2]),
-            }
+    lines = iter_lines(path, path)
+    _, header = next(lines, (1, ""))
+    if header.rstrip("\n").split("\t")[: len(_TSV_COLUMNS)] != _TSV_COLUMNS:
+        raise ParseError("%s: not a recognized report file" % path)
+    tag = None
+    rows: dict[str, dict[str, float]] = {}
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != len(_TSV_COLUMNS):
+            raise ParseError("%s line %d: wrong field count" % (path, lineno))
+        if tag is None:
+            tag = fields[0]
+        if fields[1] == "all":
+            continue
+        try:
+            rows[fields[1]] = {"ap": float(fields[5]), "num_relevant": int(fields[2])}
+        except ValueError as exc:
+            raise ParseError("%s line %d: %s" % (path, lineno, exc)) from None
     if tag is None:
         raise ParseError("%s: report contains no rows" % path)
     return tag, rows
@@ -339,7 +322,7 @@ def cmd_index(args) -> int:
 
     def documents():
         for path in _expand_paths(corpus):
-            yield from parse_trec_documents(_read_text_file(path, encoding))
+            yield from parse_trec_documents(read_text(path, encoding))
 
     index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
     index.save(out_path)
@@ -376,7 +359,7 @@ def cmd_search(args) -> int:
 
     _require_paths(index_path, topics_path)
     index = Index.load(index_path)
-    topics = parse_topics(_read_text_file(topics_path, encoding))
+    topics = parse_topics(read_text(topics_path, encoding))
 
     # options the model does not take are ignored; unset ones keep defaults
     param_type = PARAMS[model]
@@ -387,8 +370,7 @@ def cmd_search(args) -> int:
     scorer = SCORERS[model]
 
     out_path = _merged(args, "out", str, None)
-    out = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-    try:
+    with atomic_write(out_path) if out_path else nullcontext(sys.stdout) as out:
         for qid, text in topics:
             query = Query.from_text(
                 qid, text, stoplist=index.stoplist, strip_marks=index.strip_marks
@@ -401,9 +383,6 @@ def cmd_search(args) -> int:
                     file=sys.stderr,
                 )
             write_run(run, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -414,7 +393,7 @@ def cmd_eval(args) -> int:
     tag = runs[0].tag if runs else "(empty run)"
     write_report_text(report, tag, sys.stdout)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with atomic_write(args.out) as f:
             write_report_tsv(report, tag, f)
     return 0
 
@@ -631,9 +610,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except UnicodeDecodeError as exc:
-        print("error: cannot decode input: %s" % exc, file=sys.stderr)
-        return 2
     except (ParseError, OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -25,20 +25,20 @@ Files in the retired ``ARIDX001`` format are refused: rebuild them.
 """
 
 import json
-import os
 import re
 import struct
 import zlib
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Iterator
+from contextlib import nullcontext
 from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, atomic_write
 from .stoplists import Stoplist
 from .textpipe import normalize, tokenize
 
@@ -183,19 +183,12 @@ class Index:
 
     def save(self, dest) -> None:
         """Write the index to a binary file object, or to a path by way of
-        a temporary file beside it, so a failed save leaves no file."""
+        :func:`~stoplab.errors.atomic_write`, so a failed save leaves the
+        path as it was."""
         data = self._encode()
-        if hasattr(dest, "write"):
-            dest.write(data)
-            return
-        tmp = "%s.%d.tmp" % (os.fspath(dest), os.getpid())
-        try:
-            with open(tmp, "wb") as f:
-                f.write(data)
-            os.replace(tmp, dest)
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
+        to_path = not hasattr(dest, "write")
+        with atomic_write(dest, binary=True) if to_path else nullcontext(dest) as f:
+            f.write(data)
 
     def _encode(self) -> bytes:
         meta = {

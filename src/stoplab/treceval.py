@@ -11,6 +11,7 @@ never from what was retrieved.
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
 
 from .errors import ParseError, iter_lines
 from .ranking import RankedRun
@@ -83,51 +84,27 @@ def evaluate_query(run: RankedRun, relevant: set[str]) -> QueryEval:
     but callers exclude it from aggregates.
     """
     num_relevant = len(relevant)
-    hits = 0
-    points: list[tuple[float, float]] = []  # (recall, precision) at relevant ranks
-    precision_sum = 0.0
-    rel_flags: list[bool] = []
-    for position, entry in enumerate(run.entries, start=1):
-        is_rel = entry.docno in relevant
-        rel_flags.append(is_rel)
-        if is_rel:
-            hits += 1
-            precision = hits / position
-            precision_sum += precision
-            points.append((hits / num_relevant, precision))
-    average_precision = precision_sum / num_relevant if num_relevant else 0.0
-
-    interp = []
-    for level in RECALL_LEVELS:
-        best = 0.0
-        for recall, precision in points:
-            if recall >= level and precision > best:
-                best = precision
-        interp.append(best)
-
-    cumulative = []
-    running = 0
-    for flag in rel_flags:
-        running += flag
-        cumulative.append(running)
-
-    def hits_at(k: int) -> int:
-        if not cumulative:
-            return 0
-        return cumulative[min(k, len(cumulative)) - 1] if k >= 1 else 0
-
-    cutoffs = {k: hits_at(k) / k for k in CUTOFF_LEVELS}
-    r_precision = (
-        hits_at(num_relevant) / num_relevant if num_relevant else 0.0
+    flags = [entry.docno in relevant for entry in run.entries]
+    hits = list(accumulate(flags, initial=0))  # relevant among the first r
+    # precision at each rank that retrieves a relevant document, in order
+    precision = [h / r for h, r in enumerate(compress(count(1), flags), start=1)]
+    average_precision = sum(precision) / num_relevant if num_relevant else 0.0
+    interp = tuple(
+        max((p for h, p in enumerate(precision, start=1)
+             if h / num_relevant >= level), default=0.0)
+        for level in RECALL_LEVELS
     )
+    n = len(flags)
+    cutoffs = {k: hits[min(k, n)] / k for k in CUTOFF_LEVELS}
+    r_precision = hits[min(num_relevant, n)] / num_relevant if num_relevant else 0.0
 
     return QueryEval(
         qid=run.qid,
         num_relevant=num_relevant,
-        num_retrieved=len(run.entries),
-        num_relevant_retrieved=hits,
+        num_retrieved=n,
+        num_relevant_retrieved=hits[-1],
         average_precision=average_precision,
-        interp_precision=tuple(interp),
+        interp_precision=interp,
         cutoff_precision=cutoffs,
         r_precision=r_precision,
     )

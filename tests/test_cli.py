@@ -19,6 +19,9 @@ TOY_SGML = (
     "<DOC>\n<DOCNO> D3 </DOCNO>\n<TEXT>\nc c\n</TEXT>\n</DOC>\n"
 )
 
+# byte 27 is not UTF-8
+BAD_UTF8_SGML = b"<DOC><DOCNO>X</DOCNO><TEXT>\xff</TEXT></DOC>"
+
 TOY_TOPIC = (
     "<top>\n<num> Number: 1 </num>\n<title> a </title>\n"
     "<desc> Description: </desc>\n</top>\n"
@@ -219,6 +222,20 @@ class TestTopicsParsing:
         with pytest.raises(ParseError):
             parse_topics("<top><num>1</num><title>x</title>")
 
+    def test_duplicate_qid_rejected(self, toy, capsys):
+        text = ("<top><num>1</num><title>a</title></top>"
+                "<top><num> 1 </num><title>b</title></top>")
+        with pytest.raises(ParseError, match="block 2 repeats query id 1$"):
+            parse_topics(text)
+        tmp, corpus, topics = toy
+        topics.write_text(text, encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx")]) == 0
+        capsys.readouterr()
+        rc = main(["search", "--index", str(tmp / "t.idx"), "--topics", str(topics)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: topic block 2 repeats query id 1\n"
+
 
 class TestEvalCommand:
     def test_fixture_map(self, tmp_path, capsys):
@@ -351,6 +368,21 @@ class TestCompareCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2" in err and "3" in err
+
+    def test_bad_number_in_report_names_file_and_line(self, tmp_path, capsys):
+        qrels = self.qrels_text(["1", "2"])
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2}, qrels, capsys)
+        b = self.make_report(tmp_path, "BM25", {"1": 2, "2": 1}, qrels, capsys)
+        lines = b.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        fields[5] = "zz"  # the AP column of query 2
+        lines[2] = "\t".join(fields)
+        b.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: could not convert"):
+            read_report_tsv(str(b))
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s line 3: could not convert string to float: 'zz'\n" % b)
 
 
 class TestStoplistCommand:
@@ -486,6 +518,29 @@ class TestIndexFiles:
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
         assert [p.name for p in tmp_path.iterdir()] == ["dup.sgml"]
 
+    def test_bad_second_corpus_file_is_named(self, toy, capsys):
+        tmp, corpus, _ = toy
+        bad = tmp / "bad.sgml"
+        bad.write_bytes(BAD_UTF8_SGML)
+        rc = main(["index", "--corpus", str(corpus), str(bad),
+                   "--out", str(tmp / "t.idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: %s: invalid utf-8 at byte 27: invalid start byte\n" % bad)
+        assert not (tmp / "t.idx").exists()
+
+    @pytest.mark.parametrize("cut", [0, 10, -8])
+    def test_damaged_gzip_corpus_is_named(self, toy, capsys, cut):
+        tmp, _, _ = toy
+        gz = tmp / "corpus.sgml.gz"
+        data = gzip.compress(TOY_SGML.encode("utf-8"))
+        gz.write_bytes(b"not gzip" if cut == 0 else data[:cut])
+        rc = main(["index", "--corpus", str(gz), "--out", str(tmp / "t.idx")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: %s: " % gz) and err.count("\n") == 1
+        assert not (tmp / "t.idx").exists()
+
     def test_old_format_asks_for_rebuild(self, toy, capsys):
         tmp, _, topics = toy
         old = tmp / "old.idx"
@@ -544,6 +599,56 @@ class TestConfigFiles:
         rc = main(["search", "--config", str(cfg), "--index", str(idx),
                    "--topics", str(topics)])
         assert rc == 1
+
+
+def _failing_command(command, tmp, corpus, topics):
+    """Arguments that make ``command`` fail after it has started work."""
+    if command == "index":
+        bad = tmp / "bad.sgml"
+        bad.write_bytes(BAD_UTF8_SGML)
+        return ["index", "--corpus", str(corpus), str(bad)]
+    idx = tmp / "t.idx"
+    assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+    return {
+        "search": ["search", "--index", str(idx), "--topics", str(topics),
+                   "--top-k", "0"],
+        "eval": ["eval", "--run", str(topics), "--qrels", str(topics)],
+        "stoplist build": ["stoplist", "build", "--index", str(idx),
+                           "--cutoff", "-1"],
+        "stoplist combine": ["stoplist", "combine", "--a", "GS",
+                             "--b", str(tmp / "ghost.txt")],
+    }[command]
+
+
+class TestFailedCommandOutputs:
+    """A command that fails leaves its output path as it found it."""
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize(
+        "command", ["index", "search", "eval", "stoplist build", "stoplist combine"])
+    def test_target_untouched(self, toy, capsys, command, existing):
+        tmp, corpus, topics = toy
+        argv = _failing_command(command, tmp, corpus, topics)
+        target = tmp / "target.out"
+        if existing:
+            target.write_bytes(b"old")
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main(argv + ["--out", str(target)])
+        err = capsys.readouterr().err
+        assert rc in (1, 2)
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(tmp.iterdir()) == before  # no new target, no temp file
+        if existing:
+            assert target.read_bytes() == b"old"
+
+    def test_unwritable_target_is_named(self, tmp_path, capsys):
+        for target in (tmp_path / "nodir" / "x.txt", tmp_path):
+            rc = main(["stoplist", "combine", "--a", "GS", "--b", "CBS",
+                       "--out", str(target)])
+            assert rc == 2
+            assert capsys.readouterr().err.endswith(": '%s'\n" % target)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUpfrontValidation:

@@ -4,10 +4,12 @@ import io
 import random
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stoplab.cli import main
 from stoplab.errors import ParseError
 from stoplab.index import Index, build_index, parse_trec_documents
 from stoplab.stoplists import Stoplist
@@ -190,15 +192,28 @@ class TestSerialization:
         assert Index.load(path).docnos == idx.docnos
         assert [p.name for p in tmp_path.iterdir()] == ["toy.idx"]
 
-    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "toy.idx"
-        path.write_bytes(b"old")
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        """A write that runs out of space midway leaves each output, index,
+        run, TSV report and stoplist, with its old bytes and no temp file."""
+        idx, topics = tmp_path / "in.idx", tmp_path / "topics.txt"
+        build_index(TOY_DOCS).save(idx)
+        topics.write_text("<top><num>1</num><title>a</title></top>", encoding="utf-8")
+        fixtures = Path(__file__).parent / "fixtures"
+        outputs = {
+            "out.run": ["search", "--index", idx, "--topics", topics],
+            "out.tsv": ["eval", "--run", fixtures / "sample.run",
+                        "--qrels", fixtures / "sample.qrels"],
+            "out.txt": ["stoplist", "combine", "--a", "GS", "--b", "CBS"],
+        }
+        for name in ["out.idx", *outputs]:
+            (tmp_path / name).write_bytes(b"old")
+        before = sorted(tmp_path.iterdir())
 
         class DiskFull:
-            """A file that takes half of a write, then runs out of space."""
+            """A file that takes half of each write, then runs out of space."""
 
-            def __init__(self, name, mode):
-                self.f = open(name, mode)
+            def __init__(self, name, mode, **kwargs):
+                self.f = open(name, mode, **kwargs)
 
             def __enter__(self):
                 return self
@@ -206,15 +221,25 @@ class TestSerialization:
             def __exit__(self, *exc):
                 self.f.close()
 
+            def __getattr__(self, name):
+                return getattr(self.f, name)
+
             def write(self, data):
                 self.f.write(data[: len(data) // 2])
                 raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr("stoplab.index.open", DiskFull, raising=False)
+        monkeypatch.setattr("stoplab.errors.open", DiskFull, raising=False)
         with pytest.raises(OSError):
-            build_index(TOY_DOCS).save(path)
-        assert [p.name for p in tmp_path.iterdir()] == ["toy.idx"]
-        assert path.read_bytes() == b"old"
+            build_index(TOY_DOCS).save(tmp_path / "out.idx")
+        for name, argv in outputs.items():
+            capsys.readouterr()
+            rc = main([str(a) for a in argv] + ["--out", str(tmp_path / name)])
+            err = capsys.readouterr().err.strip()
+            assert rc == 2, name
+            assert "No space left on device" in err and len(err.splitlines()) == 1
+        assert sorted(tmp_path.iterdir()) == before
+        for name in ["out.idx", *outputs]:
+            assert (tmp_path / name).read_bytes() == b"old", name
 
     def test_long_token_and_docno_round_trip(self):
         token, docno = "ق" * 35_000, "D" * 70_000  # 70,000 UTF-8 bytes each
