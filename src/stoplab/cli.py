@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import fields
 
 from . import stoplists
-from .errors import ParseError, atomic_write, iter_lines, read_text
+from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
 from .index import Index, build_index, parse_trec_documents
 from .ranking import (
     BM25Params,
@@ -66,15 +66,16 @@ class _Parser(argparse.ArgumentParser):
 # -- config files ---------------------------------------------------------
 
 
-def read_config(path: str) -> dict[str, str]:
+def read_config(path) -> dict[str, str]:
     """Parse a ``key=value`` experiment manifest; ``#`` starts a comment."""
     config: dict[str, str] = {}
-    for lineno, line in iter_lines(path, path):
+    name = source_name(path, "config")
+    for lineno, line in iter_lines(path, name):
         s = line.strip()
         if not s or s.startswith("#"):
             continue
         if "=" not in s:
-            raise ParseError("%s line %d: expected key=value" % (path, lineno))
+            raise ParseError("%s line %d: expected key=value" % (name, lineno))
         key, value = s.split("=", 1)
         config[key.strip()] = value.strip()
     return config
@@ -93,9 +94,8 @@ def _merged(args, key: str, convert, default):
     value = getattr(args, key)
     if value is not None:
         return value
-    config = getattr(args, "_config", None) or {}
-    if key in config:
-        return convert(config[key])
+    if key in args._config:
+        return convert(args._config[key])
     return default
 
 
@@ -118,12 +118,12 @@ def _require_paths(*paths: str) -> None:
     # fail before any work starts, naming the missing path
     for p in paths:
         if not os.path.exists(p):
-            raise ParseError("path does not exist: %s" % p)
+            raise ParseError("%s: no such file or directory" % p)
 
 
-def _resolve_stoplist(selection: str | None) -> Stoplist | None:
-    if selection is None or selection == "none":
-        return None
+def _resolve_stoplist(selection: str) -> Stoplist:
+    if selection == "none":  # `index` checks for it first
+        raise UsageError("'none' is only for index --stoplist; give GS, CBS, CS or a file")
     if selection in ("GS", "CBS", "CS"):
         return stoplists.bundled(selection)
     _require_paths(selection)
@@ -150,19 +150,20 @@ _TITLE_RE = re.compile(r"<title>\s*(?:Topic\s*:)?\s*(.*?)\s*(?=<|$)", re.S | re.
 _DESC_RE = re.compile(r"<desc>\s*(?:Description\s*:)?\s*(.*?)\s*(?=<|$)", re.S | re.I)
 
 
-def parse_topics(text: str) -> list[tuple[str, str]]:
-    """Parse TREC topics; the query text is title plus description."""
+def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
+    """Parse TREC topics; the query text is title plus description.  Error
+    messages start with ``name``, the topics file's path."""
     blocks = _TOP_RE.findall(text)
     if text.count("<top>") != len(blocks):
-        raise ParseError("unterminated <top> block in topics file")
+        raise ParseError("%s: unterminated <top> block" % name)
     topics: dict[str, str] = {}
     for i, block in enumerate(blocks, start=1):
         m = _NUM_RE.search(block)
         if m is None or not m.group(1).split():
-            raise ParseError("topic block %d has no <num>" % i)
+            raise ParseError("%s: topic block %d has no <num>" % (name, i))
         qid = m.group(1).split()[0]
         if qid in topics:
-            raise ParseError("topic block %d repeats query id %s" % (i, qid))
+            raise ParseError("%s: topic block %d repeats query id %s" % (name, i, qid))
         title = _TITLE_RE.search(block)
         desc = _DESC_RE.search(block)
         parts = []
@@ -186,33 +187,31 @@ def write_run(run: RankedRun, out) -> None:
 
 
 def read_run_file(source) -> list[RankedRun]:
-    """Parse a TREC run file into per-query runs, original order preserved."""
+    """Parse a TREC run file into per-query runs, in order of first
+    appearance.  Each query's entries are ordered by the rank column, and
+    equal ranks keep file order; scores do not affect the order."""
     runs: dict[str, RankedRun] = {}
     docnos_seen: dict[str, set[str]] = {}
-    for lineno, line in iter_lines(source, "run"):
+    name = source_name(source, "run")
+    for lineno, line in iter_lines(source, name):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 6:
-            raise ParseError(
-                "run line %d: expected 6 fields, got %d" % (lineno, len(fields))
-            )
+            raise ParseError("%s line %d: expected 6 fields, got %d"
+                             % (name, lineno, len(fields)))
         qid, _, docno, rank_s, score_s, tag = fields
         try:
             rank = int(rank_s)
             score = float(score_s)
         except ValueError:
-            raise ParseError(
-                "run line %d: bad rank or score" % lineno
-            ) from None
+            raise ParseError("%s line %d: bad rank or score" % (name, lineno)) from None
         if qid not in runs:
             runs[qid] = RankedRun(qid=qid, entries=[], tag=tag)
             docnos_seen[qid] = set()
         if docno in docnos_seen[qid]:
-            raise ParseError(
-                "run line %d: duplicate docno %r for query %s"
-                % (lineno, docno, qid)
-            )
+            raise ParseError("%s line %d: duplicate docno %r for query %s"
+                             % (name, lineno, docno, qid))
         docnos_seen[qid].add(docno)
         runs[qid].entries.append(RunEntry(docno, score, rank))
     for run in runs.values():
@@ -276,12 +275,13 @@ def write_report_tsv(report: EvalReport, tag: str, out) -> None:
         report.mean_cutoff_precision, report.mean_interp_precision)
 
 
-def read_report_tsv(path: str) -> tuple[str, dict[str, dict[str, float]]]:
+def read_report_tsv(path) -> tuple[str, dict[str, dict[str, float]]]:
     """Read a per-query report back; returns (tag, qid -> {ap, num_relevant})."""
-    lines = iter_lines(path, path)
+    name = source_name(path, "report")
+    lines = iter_lines(path, name)
     _, header = next(lines, (1, ""))
     if header.rstrip("\n").split("\t")[: len(_TSV_COLUMNS)] != _TSV_COLUMNS:
-        raise ParseError("%s: not a recognized report file" % path)
+        raise ParseError("%s: not a recognized report file" % name)
     tag = None
     rows: dict[str, dict[str, float]] = {}
     for lineno, line in lines:
@@ -289,7 +289,7 @@ def read_report_tsv(path: str) -> tuple[str, dict[str, dict[str, float]]]:
             continue
         fields = line.rstrip("\n").split("\t")
         if len(fields) != len(_TSV_COLUMNS):
-            raise ParseError("%s line %d: wrong field count" % (path, lineno))
+            raise ParseError("%s line %d: wrong field count" % (name, lineno))
         if tag is None:
             tag = fields[0]
         if fields[1] == "all":
@@ -297,9 +297,9 @@ def read_report_tsv(path: str) -> tuple[str, dict[str, dict[str, float]]]:
         try:
             rows[fields[1]] = {"ap": float(fields[5]), "num_relevant": int(fields[2])}
         except ValueError as exc:
-            raise ParseError("%s line %d: %s" % (path, lineno, exc)) from None
+            raise ParseError("%s line %d: %s" % (name, lineno, exc)) from None
     if tag is None:
-        raise ParseError("%s: report contains no rows" % path)
+        raise ParseError("%s: report contains no rows" % name)
     return tag, rows
 
 
@@ -318,11 +318,11 @@ def cmd_index(args) -> int:
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
     _require_paths(*corpus)
-    stoplist = _resolve_stoplist(selection)
+    stoplist = None if selection == "none" else _resolve_stoplist(selection)
 
     def documents():
         for path in _expand_paths(corpus):
-            yield from parse_trec_documents(read_text(path, encoding))
+            yield from parse_trec_documents(read_text(path, "corpus", encoding), path)
 
     index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
     index.save(out_path)
@@ -359,7 +359,7 @@ def cmd_search(args) -> int:
 
     _require_paths(index_path, topics_path)
     index = Index.load(index_path)
-    topics = parse_topics(read_text(topics_path, encoding))
+    topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
 
     # options the model does not take are ignored; unset ones keep defaults
     param_type = PARAMS[model]
@@ -404,13 +404,13 @@ def cmd_compare(args) -> int:
     if len(set(tags)) != len(tags):
         raise ParseError("duplicate technique tags among reports: %s" % tags)
     reference = set(tables[0][1])
-    for tag, rows in tables[1:]:
+    for path, (tag, rows) in zip(args.reports[1:], tables[1:]):
         if set(rows) != reference:
             missing = sorted(reference - set(rows))
             extra = sorted(set(rows) - reference)
             raise ParseError(
-                "report %s covers a different qid set (missing %s, extra %s)"
-                % (tag, missing or "-", extra or "-")
+                "%s: report %s covers a different qid set (missing %s, extra %s)"
+                % (path, tag, missing or "-", extra or "-")
             )
     if not reference:
         raise ParseError("reports contain no queries")
@@ -511,13 +511,11 @@ def cmd_stoplist_combine(args) -> int:
 
 
 def cmd_stoplist_inspect(args) -> int:
-    stoplist = _resolve_stoplist(args.list)
-    print("list %s: %d words (provenance: %s)"
-          % (stoplist.name, len(stoplist), stoplist.provenance))
+    lists = [_resolve_stoplist(s) for s in (args.list, args.other) if s]
+    for s in lists:
+        print("list %s: %d words (provenance: %s)" % (s.name, len(s), s.provenance))
     if args.other:
-        other = _resolve_stoplist(args.other)
-        print("list %s: %d words (provenance: %s)"
-              % (other.name, len(other), other.provenance))
+        stoplist, other = lists
         print("overlap: %d" % len(stoplist.words & other.words))
         print("union:   %d" % len(stoplist.words | other.words))
     return 0
@@ -602,10 +600,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "config", None):
-            args._config = read_config(args.config)
-        else:
-            args._config = {}
+        args._config = read_config(args.config) if getattr(args, "config", None) else {}
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,5 +1,6 @@
-"""Input errors, and the file helpers that every reader and writer shares:
-each text file stoplab reads, and each file it writes, is opened here."""
+"""Input errors, the rule that names an input in them, and the file helpers
+that every reader and writer shares: each text file stoplab reads, and each
+file it writes, is opened here."""
 
 import gzip
 import io
@@ -12,18 +13,45 @@ class ParseError(Exception):
     """Raised when an input file or stream violates its documented format."""
 
 
-def read_text(path, encoding: str = "utf-8") -> str:
-    """Read a whole file, gunzipping it when the name ends in ``.gz``.  A
-    damaged gzip file, or bytes that do not decode, raise
-    :class:`ParseError` naming the file."""
+def source_name(source, role: str) -> str:
+    """The one naming rule for inputs: a path names itself and an open file
+    names its ``role`` (``qrels``, ``run``, ``index``, ...).  Every
+    :class:`ParseError` about an input starts with this name, as
+    ``<name> line N: ...`` for line files and ``<name>: ...`` otherwise."""
+    return role if hasattr(source, "read") else os.fspath(source)
+
+
+def read_text(source, role: str, encoding: str = "utf-8") -> str:
+    """Read a path, gunzipping names that end in ``.gz``, or an open text or
+    binary file, to one string.  This is the only place where stoplab turns
+    bytes into text.  A damaged gzip file, or bytes that do not decode,
+    raise :class:`ParseError` naming the source."""
+    name = source_name(source, role)
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        try:
+            with (gzip.open if name.endswith(".gz") else open)(source, "rb") as f:
+                data = f.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
+    if isinstance(data, str):
+        return data
     try:
-        with (gzip.open if os.fspath(path).endswith(".gz") else open)(path, "rb") as f:
-            return f.read().decode(encoding)
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise ParseError("%s: damaged gzip file: %s" % (path, exc)) from None
+        return data.decode(encoding)
     except UnicodeDecodeError as exc:
-        raise ParseError("%s: invalid %s at byte %d: %s"
-                         % (path, encoding, exc.start, exc.reason)) from None
+        head = data[: exc.start]  # lines end at \n, \r\n or \r, as in iter_lines
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError("%s line %d: invalid %s at byte %d: %s"
+                         % (name, line, encoding, exc.start, exc.reason)) from None
+
+
+def iter_lines(source, role: str):
+    """Iterate ``(line number, line)`` from 1 over the text that
+    :func:`read_text` reads from a path or an open file, split with
+    universal newlines.  A plain iterator, not a generator: runs are read
+    line by line."""
+    return enumerate(io.StringIO(read_text(source, role), newline=None), start=1)
 
 
 @contextmanager
@@ -43,34 +71,3 @@ def atomic_write(path, binary: bool = False):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def iter_lines(source, what: str):
-    """Iterate ``(line number, line)`` over a path, an open file or an
-    iterable of lines, numbering from 1.
-
-    A path is read as UTF-8 with universal newlines, as text mode reads
-    it, and byte lines are decoded as UTF-8.  Invalid UTF-8 raises
-    :class:`ParseError` naming ``what`` and the line.
-    """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "rb") as f:
-            data = f.read()
-        try:
-            # a plain iterator, not a generator: runs are read line by line
-            return enumerate(io.StringIO(data.decode("utf-8"), newline=None), start=1)
-        except UnicodeDecodeError:
-            source = data.splitlines()  # decoded below, to name the bad line
-    return _decoded(source, what)
-
-
-def _decoded(lines, what: str):
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(
-                    "%s: invalid UTF-8 on line %d: %s" % (what, lineno, exc.reason)
-                ) from exc
-        yield lineno, line

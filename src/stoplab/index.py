@@ -38,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, atomic_write
+from .errors import ParseError, atomic_write, source_name
 from .stoplists import Stoplist
 from .textpipe import normalize, tokenize
 
@@ -52,13 +52,14 @@ _TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
 
 
-def parse_trec_documents(text: str) -> Iterator[tuple[str, str]]:
+def parse_trec_documents(text: str, name: str = "corpus") -> Iterator[tuple[str, str]]:
     """Yield (docno, text) for each ``<DOC>`` block, in stream order.
 
     Each block must contain a ``<DOCNO>`` and may contain any number of
     ``<TEXT>`` regions, whose contents are concatenated.  Residual inline
     tags inside TEXT regions (paragraph markers and the like) are dropped.
-    Offsets in error messages are character offsets into the stream.
+    Error messages start with ``name``, the corpus file's path; their
+    offsets are character offsets into the stream.
     """
     pos = 0
     while True:
@@ -67,16 +68,19 @@ def parse_trec_documents(text: str) -> Iterator[tuple[str, str]]:
             return
         end = text.find("</DOC>", start)
         if end == -1:
-            raise ParseError("unterminated <DOC> block at offset %d" % start)
+            raise ParseError("%s: unterminated <DOC> block at offset %d"
+                             % (name, start))
         block = text[start + len("<DOC>") : end]
         m = _DOCNO_RE.search(block)
         if m is None:
-            raise ParseError("<DOC> block at offset %d has no <DOCNO>" % start)
+            raise ParseError("%s: <DOC> block at offset %d has no <DOCNO>"
+                             % (name, start))
         docno = m.group(1).strip()
         texts = _TEXT_RE.findall(block)
         if block.count("<TEXT>") != len(texts):
             raise ParseError(
-                "unterminated <TEXT> in document %r (offset %d)" % (docno, start)
+                "%s: unterminated <TEXT> in document %r (offset %d)"
+                % (name, docno, start)
             )
         body = "\n".join(_TAG_RE.sub(" ", t) for t in texts)
         yield docno, body
@@ -217,34 +221,36 @@ class Index:
     @classmethod
     def load(cls, src) -> "Index":
         """Read an index written by :meth:`save` from a path or binary file
-        object.  Any damage to the file raises :class:`ParseError`."""
+        object.  Any damage to the file raises :class:`ParseError` naming
+        the path, or ``index`` for a file object."""
         data = src.read() if hasattr(src, "read") else Path(src).read_bytes()
+        name = source_name(src, "index")
         try:
-            index = cls._decode(data)
+            index = cls._decode(data, name)
             index.check()
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError("corrupt index file: %s" % exc) from exc
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            raise ParseError("%s: corrupt index file: %s" % (name, exc)) from exc
         return index
 
     @classmethod
-    def _decode(cls, data: bytes) -> "Index":
+    def _decode(cls, data: bytes, name: str) -> "Index":
         if data[: len(MAGIC)] == b"ARIDX001":
-            raise ParseError("index file has the retired ARIDX001 format; "
-                             "rebuild the index with `stoplab index`")
+            raise ParseError("%s: index file has the retired ARIDX001 format; "
+                             "rebuild the index with `stoplab index`" % name)
         if data[: len(MAGIC)] != MAGIC:
-            raise ParseError("not an index file (bad magic)")
+            raise ParseError("%s: not an index file (bad magic)" % name)
         if len(data) < _HEADER.size + _CHECKSUM.size:
-            raise ParseError("truncated index file")
+            raise ParseError("%s: truncated index file" % name)
         _, n, vocab, npairs, meta_len = _HEADER.unpack_from(data)
         sizes = [4 * n, 4 * vocab, 8 * npairs, meta_len]
         offsets = list(accumulate(sizes, initial=_HEADER.size))
         end = offsets[-1]
         if len(data) < end + _CHECKSUM.size:
-            raise ParseError("truncated index file")
+            raise ParseError("%s: truncated index file" % name)
         if len(data) > end + _CHECKSUM.size:
-            raise ParseError("corrupt index file: trailing bytes")
+            raise ParseError("%s: corrupt index file: trailing bytes" % name)
         if zlib.crc32(memoryview(data)[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
-            raise ParseError("corrupt index file: checksum mismatch")
+            raise ParseError("%s: corrupt index file: checksum mismatch" % name)
         sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
         doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
         meta = json.loads(bytes(sections[3]).decode("utf-8"))

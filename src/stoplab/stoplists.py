@@ -52,13 +52,13 @@ class Stoplist:
 
 
 def load_stoplist(source, name: str, provenance: str = "custom") -> Stoplist:
-    """Read a stoplist from a path, open file, or iterable of lines.
+    """Read a stoplist from a path or an open text or binary file.
 
     Each word is normalized before insertion; duplicates collapse.  Invalid
-    UTF-8 raises :class:`ParseError` naming the offending line.
+    UTF-8 raises :class:`ParseError` naming the file and the line.
     """
     words = set()
-    for _, line in iter_lines(source, "stoplist %r" % name):
+    for _, line in iter_lines(source, "stoplist"):
         word = line.strip()
         if not word or word.startswith("#"):
             continue

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 
-from .errors import ParseError, iter_lines
+from .errors import ParseError, iter_lines, source_name
 from .ranking import RankedRun
 
 CUTOFF_LEVELS = (5, 10, 15, 20, 30, 100, 200, 500, 1000)
@@ -30,21 +30,20 @@ def parse_qrels(source) -> Qrels:
     set.
     """
     qrels: Qrels = {}
-    for lineno, line in iter_lines(source, "qrels"):
+    name = source_name(source, "qrels")
+    for lineno, line in iter_lines(source, name):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 4:
-            raise ParseError(
-                "qrels line %d: expected 4 fields, got %d" % (lineno, len(fields))
-            )
+            raise ParseError("%s line %d: expected 4 fields, got %d"
+                             % (name, lineno, len(fields)))
         qid, _, docno, rel = fields
         try:
             rel_value = int(rel)
         except ValueError:
-            raise ParseError(
-                "qrels line %d: relevance %r is not an integer" % (lineno, rel)
-            ) from None
+            raise ParseError("%s line %d: relevance %r is not an integer"
+                             % (name, lineno, rel)) from None
         judged = qrels.setdefault(qid, set())
         if rel_value > 0:
             judged.add(docno)

@@ -8,6 +8,7 @@ import pytest
 from stoplab.cli import main, parse_topics, read_report_tsv, read_run_file
 from stoplab.errors import ParseError
 from stoplab.index import Index
+from stoplab.treceval import evaluate_run, parse_qrels
 
 from test_index import _damage_cases
 
@@ -234,7 +235,23 @@ class TestTopicsParsing:
         rc = main(["search", "--index", str(tmp / "t.idx"), "--topics", str(topics)])
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == "error: topic block 2 repeats query id 1\n"
+        assert captured.err == "error: %s: topic block 2 repeats query id 1\n" % topics
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("<top><num>1</num><title>a</title>", "unterminated <top> block"),
+        ("<top><title>a</title></top>", "topic block 1 has no <num>"),
+    ])
+    def test_topics_errors_name_the_file(self, toy, capsys, text, message):
+        tmp, corpus, topics = toy
+        with pytest.raises(ParseError, match="^topics: %s$" % message):
+            parse_topics(text)
+        topics.write_text(text, encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx")]) == 0
+        capsys.readouterr()
+        rc = main(["search", "--index", str(tmp / "t.idx"), "--topics", str(topics)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (topics, message)
 
 
 class TestEvalCommand:
@@ -283,6 +300,48 @@ class TestEvalCommand:
         qrels = tmp_path / "q.qrels"
         qrels.write_text("1 0 D1 1\n")
         assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
+
+    @pytest.mark.parametrize("bad, run_text, qrels_text, message", [
+        ("run", "1 Q0 D1 1 0.5\n", "1 0 D1 1\n", "line 1: expected 6 fields, got 5"),
+        ("run", "1 Q0 D1 1 0.5 T\n1 Q0 D1 2 0.4 T\n", "1 0 D1 1\n",
+         "line 2: duplicate docno 'D1' for query 1"),
+        ("qrels", "1 Q0 D1 1 0.5 T\n", "1 0 D1\n", "line 1: expected 4 fields, got 3"),
+        ("qrels", "1 Q0 D1 1 0.5 T\n", "1 0 D1 1\n1 0 D2 yes\n",
+         "line 2: relevance 'yes' is not an integer"),
+    ])
+    def test_bad_line_names_the_file(self, tmp_path, capsys, bad, run_text,
+                                     qrels_text, message):
+        files = {"run": tmp_path / "b.run", "qrels": tmp_path / "b.qrels"}
+        files["run"].write_text(run_text, encoding="utf-8")
+        files["qrels"].write_text(qrels_text, encoding="utf-8")
+        rc = main(["eval", "--run", str(files["run"]), "--qrels", str(files["qrels"])])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s %s\n" % (files[bad], message)
+
+
+class TestRunFileOrder:
+    """``read_run_file`` orders each query by the rank column; equal ranks
+    keep file order, and scores never reorder (trec_eval sorts by score)."""
+
+    def read(self, tmp_path, text):
+        run = tmp_path / "r.run"
+        run.write_text(text, encoding="utf-8")
+        return read_run_file(run)
+
+    def test_rank_column_wins_over_scores(self, tmp_path):
+        (run,) = self.read(tmp_path, "1 Q0 D1 2 0.9 T\n1 Q0 D2 1 0.1 T\n"
+                                     "1 Q0 D3 3 0.5 T\n")
+        assert [(e.docno, e.rank, e.score) for e in run.entries] == [
+            ("D2", 1, 0.1), ("D1", 2, 0.9), ("D3", 3, 0.5)]
+
+    def test_equal_ranks_keep_file_order(self, tmp_path, capsys):
+        text = "1 Q0 D1 1 0.5 T\n1 Q0 D2 1 0.9 T\n2 Q0 D4 1 0.2 T\n2 Q0 D3 1 0.8 T\n"
+        runs = self.read(tmp_path, text)
+        assert [[e.docno for e in r.entries] for r in runs] == [["D1", "D2"], ["D4", "D3"]]
+        qrels = tmp_path / "q.qrels"
+        qrels.write_text("1 0 D2 1\n", encoding="utf-8")
+        report = evaluate_run(runs, parse_qrels(qrels))
+        assert report.per_query[0].average_precision == 0.5  # by score: 1.0
 
 
 class TestCompareCommand:
@@ -394,6 +453,21 @@ class TestStoplistCommand:
         assert "list CBS: 230 words" in out
         assert "overlap: 82" in out
         assert "union:   1093" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["inspect", "--list", "none"],
+        ["inspect", "--list", "GS", "--other", "none"],
+        ["combine", "--a", "none", "--b", "GS", "--out", "x.txt"],
+        ["combine", "--a", "GS", "--b", "none", "--out", "x.txt"],
+    ])
+    def test_none_is_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["stoplist", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 'none' is only for index --stoplist; give GS, CBS, CS or a file\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_combine_bundled(self, tmp_path, capsys):
         out_file = tmp_path / "cs.txt"
@@ -526,7 +600,23 @@ class TestIndexFiles:
                    "--out", str(tmp / "t.idx")])
         assert rc == 2
         assert capsys.readouterr().err == (
-            "error: %s: invalid utf-8 at byte 27: invalid start byte\n" % bad)
+            "error: %s line 1: invalid utf-8 at byte 27: invalid start byte\n" % bad)
+        assert not (tmp / "t.idx").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("<DOC><DOCNO>X</DOCNO><TEXT>a", "unterminated <DOC> block at offset 0"),
+        ("\n<DOC><TEXT>a</TEXT></DOC>", "<DOC> block at offset 1 has no <DOCNO>"),
+        ("<DOC><DOCNO>X</DOCNO><TEXT>a</DOC>",
+         "unterminated <TEXT> in document 'X' (offset 0)"),
+    ])
+    def test_bad_second_corpus_block_is_named(self, toy, capsys, text, message):
+        tmp, corpus, _ = toy
+        bad = tmp / "bad.sgml"
+        bad.write_text(text, encoding="utf-8")
+        rc = main(["index", "--corpus", str(corpus), str(bad),
+                   "--out", str(tmp / "t.idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
         assert not (tmp / "t.idx").exists()
 
     @pytest.mark.parametrize("cut", [0, 10, -8])
@@ -564,6 +654,25 @@ class TestIndexFiles:
             err = capsys.readouterr().err.strip()
             assert rc == 2, case
             assert len(err.splitlines()) == 1, case
+
+
+    def test_damaged_index_is_named(self, toy, capsys):
+        tmp, corpus, topics = toy
+        idx = tmp / "b.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        blob = bytearray(idx.read_bytes())
+        blob[-1] ^= 1
+        idx.write_bytes(bytes(blob))
+        capsys.readouterr()
+        for argv in (["search", "--index", str(idx), "--topics", str(topics)],
+                     ["stoplist", "build", "--index", str(idx), "--cutoff", "1",
+                      "--out", str(tmp / "s.txt")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: %s: corrupt index file: checksum mismatch\n" % idx)
+        idx.write_bytes(bytes(blob[:-8]))
+        assert main(["search", "--index", str(idx), "--topics", str(topics)]) == 2
+        assert capsys.readouterr().err == "error: %s: truncated index file\n" % idx
 
 
 class TestConfigFiles:

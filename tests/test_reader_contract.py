@@ -1,0 +1,109 @@
+"""The reader contract: whatever bytes a file holds, reading it as any input
+stoplab takes either returns or raises one single-line ParseError that
+starts with the file's path."""
+
+import json
+import re
+import zlib
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stoplab.cli import (
+    _TSV_COLUMNS,
+    parse_topics,
+    read_config,
+    read_report_tsv,
+    read_run_file,
+)
+from stoplab.errors import ParseError, read_text
+from stoplab.index import _CHECKSUM, _HEADER, MAGIC, Index, parse_trec_documents
+from stoplab.stoplists import load_stoplist
+from stoplab.treceval import parse_qrels
+
+READERS = {
+    "qrels": parse_qrels,
+    "run": read_run_file,
+    "stoplist": lambda path: load_stoplist(path, name="t"),
+    "config": read_config,
+    "report": read_report_tsv,
+    "index": Index.load,
+    "topics": lambda path: parse_topics(read_text(path, "topics"), path),
+    "corpus": lambda path: list(parse_trec_documents(read_text(path, "corpus"), path)),
+}
+
+REPORT_HEADER = "\t".join(_TSV_COLUMNS).encode("utf-8") + b"\n"
+REPORT_ROW = b"\t".join([b"T", b"1", b"2", b"3", b"1"] + [b"0.5"] * 22) + b"\n"
+
+# pieces of every format, so that joined they reach past the first check
+PIECES = [
+    b" ", b"\t", b"\n", b"\r", b"\r\n", b"1", b"2", b"Q0", b"D1", b"0.5", b"-3",
+    b"zz", b"=", b"#", b"nan", "ق".encode("utf-8"), b"\xd9", b"\xff", b"\x00",
+    b"<top>", b"</top>", b"<num>", b"<title>", b"<DOC>", b"</DOC>", b"<DOCNO>",
+    b"</DOCNO>", b"<TEXT>", b"</TEXT>", REPORT_ROW,
+]
+
+contents = st.builds(
+    bytes.__add__,
+    st.sampled_from([b"", REPORT_HEADER, MAGIC]),
+    st.binary(max_size=300) | st.lists(st.sampled_from(PIECES), max_size=60).map(b"".join),
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=8,
+)
+metas = st.fixed_dictionaries(
+    {key: json_values for key in ("docnos", "terms", "total_tokens", "strip_marks",
+                                  "stopwords_removed", "stoplist")}
+) | json_values
+
+
+def framed(meta: bytes, n: int = 0, vocab: int = 0, npairs: int = 0, body: bytes = b""):
+    """An index file whose header sizes and checksum are right, so that the
+    sections and the JSON block behind them are what gets checked."""
+    data = _HEADER.pack(MAGIC, n, vocab, npairs, len(meta)) + body + meta
+    return data + _CHECKSUM.pack(zlib.crc32(data))
+
+
+@st.composite
+def framed_indexes(draw):
+    n, vocab, npairs = (draw(st.integers(0, 3)) for _ in range(3))
+    size = 4 * (n + vocab + 2 * npairs)
+    body = draw(st.binary(min_size=size, max_size=size))
+    return framed(json.dumps(draw(metas)).encode("utf-8"), n, vocab, npairs, body)
+
+
+def check_contract(reader, path, data):
+    path.write_bytes(data)
+    try:
+        READERS[reader](str(path))
+    except ParseError as exc:
+        message = str(exc)
+        assert re.match(re.escape(str(path)) + r"( line \d+)?: ", message), message
+        assert len(message.splitlines()) == 1, message
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "input"
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=contents)
+def test_any_bytes_parse_or_raise_one_named_line(scratch, reader, data):
+    check_contract(reader, scratch, data)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=framed_indexes())
+@example(data=framed(b"[" * 10_000 + b"]" * 10_000))  # nested past the recursion limit
+@example(data=framed(json.dumps({  # a count that is not a finite number
+    "docnos": [], "terms": [], "total_tokens": float("inf"), "strip_marks": True,
+    "stopwords_removed": 0, "stoplist": None}).encode("utf-8")))
+def test_framed_index_bytes_load_or_raise_one_named_line(scratch, data):
+    check_contract("index", scratch, data)

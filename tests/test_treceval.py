@@ -76,8 +76,10 @@ class TestParseQrels:
     def test_invalid_utf8_in_file_names_line(self, tmp_path):
         path = tmp_path / "q.txt"
         path.write_bytes(b"1 0 A 1\r\n1 0 \xff 1\n")
-        with pytest.raises(ParseError, match="qrels: invalid UTF-8 on line 2"):
+        with pytest.raises(ParseError) as info:
             parse_qrels(path)
+        assert str(info.value) == (
+            "%s line 2: invalid utf-8 at byte 13: invalid start byte" % path)
 
 
 class TestEvaluateQuery:
