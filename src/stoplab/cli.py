@@ -25,7 +25,7 @@ from dataclasses import fields
 
 from . import stoplists
 from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
-from .index import Index, build_index, parse_trec_documents
+from .index import DuplicateDocno, Index, build_index, parse_trec_documents
 from .ranking import (
     BM25Params,
     DirichletParams,
@@ -320,11 +320,19 @@ def cmd_index(args) -> int:
     _require_paths(*corpus)
     stoplist = None if selection == "none" else _resolve_stoplist(selection)
 
+    sources: list[str] = []  # the corpus file of each document, by ordinal
+
     def documents():
         for path in _expand_paths(corpus):
-            yield from parse_trec_documents(read_text(path, "corpus", encoding), path)
+            for doc in parse_trec_documents(read_text(path, "corpus", encoding), path):
+                sources.append(path)
+                yield doc
 
-    index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
+    try:
+        index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
+    except DuplicateDocno as exc:
+        raise ParseError("%s: duplicate docno %r (first in %s)" % (
+            sources[exc.again], exc.docno, sources[exc.first])) from None
     index.save(out_path)
     print("documents:           %d" % index.N)
     print("tokens:              %d" % index.total_tokens)
@@ -401,8 +409,11 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     tables = [read_report_tsv(path) for path in args.reports]
     tags = [tag for tag, _ in tables]
-    if len(set(tags)) != len(tags):
-        raise ParseError("duplicate technique tags among reports: %s" % tags)
+    first: dict[str, str] = {}  # tag -> the first report that has it
+    for path, tag in zip(args.reports, tags):
+        if tag in first:
+            raise ParseError("%s: technique tag %s repeats %s" % (path, tag, first[tag]))
+        first[tag] = path
     reference = set(tables[0][1])
     for path, (tag, rows) in zip(args.reports[1:], tables[1:]):
         if set(rows) != reference:

@@ -24,11 +24,15 @@ def source_name(source, role: str) -> str:
 def read_text(source, role: str, encoding: str = "utf-8") -> str:
     """Read a path, gunzipping names that end in ``.gz``, or an open text or
     binary file, to one string.  This is the only place where stoplab turns
-    bytes into text.  A damaged gzip file, or bytes that do not decode,
-    raise :class:`ParseError` naming the source."""
+    bytes into text.  A damaged gzip file, or bytes that do not decode (an
+    open text file's own decoder included), raise :class:`ParseError`
+    naming the source."""
     name = source_name(source, role)
     if hasattr(source, "read"):
-        data = source.read()
+        try:
+            data = source.read()
+        except UnicodeDecodeError as exc:  # a text file: decode its bytes below
+            data, encoding = exc.object, getattr(source, "encoding", exc.encoding)
     else:
         try:
             with (gzip.open if name.endswith(".gz") else open)(source, "rb") as f:

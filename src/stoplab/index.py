@@ -29,7 +29,7 @@ import re
 import struct
 import zlib
 from array import array
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
@@ -270,6 +270,15 @@ class Index:
         )
 
 
+class DuplicateDocno(ParseError):
+    """A docno given twice to :func:`build_index`, with the ordinals of both
+    documents, so a caller that knows their sources can name them."""
+
+    def __init__(self, docno: str, first: int, again: int):
+        super().__init__("duplicate docno %r" % docno)
+        self.docno, self.first, self.again = docno, first, again
+
+
 def build_index(
     docs: Iterable[tuple[str, str]],
     stoplist: Stoplist | None = None,
@@ -278,43 +287,60 @@ def build_index(
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
 
-    Documents are counted one at a time, in input order, into flat
-    ``(term id, tf)`` buffers; one stable sort by term then yields every
-    term's postings with ordinals ascending.  ``workers`` is accepted for
-    compatibility and has no effect: the build is serial, since
-    tokenization holds the GIL and threads only slowed it down.
+    Documents are read one at a time, in input order, into one stream of
+    token ids (a word's id is the order of its first appearance).  Then
+    one mask over the ids drops the stopwords, and one in-place sort of a
+    key per kept token, sorted-term position * N + doc ordinal, puts the
+    tokens in postings order: each run of equal keys is one posting, and
+    its length is the tf.  ``workers`` is accepted for compatibility and
+    has no effect: the build is serial, since tokenization holds the GIL
+    and threads only slowed it down.
     """
-    vocab: dict[str, int] = {}  # term -> id in order of first appearance
-    term_ids, tfs, doc_lengths, doc_terms = (array("I") for _ in range(4))
-    docnos: list[str] = []
-    seen: set[str] = set()
-    removed = 0
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a new word gets the next id
+    stream, lengths = array("I"), array("I")
+    ordinal: dict[str, int] = {}
     for docno, text in docs:
-        if docno in seen:
-            raise ParseError("duplicate docno %r" % docno)
-        seen.add(docno)
+        if docno in ordinal:
+            raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
+        ordinal[docno] = len(ordinal)
         tokens = tokenize(normalize(text, strip_marks=strip_marks))
-        kept = stoplist.filter(tokens) if stoplist is not None else tokens
-        counts = Counter(kept)
-        docnos.append(docno)
-        doc_lengths.append(len(kept))
-        doc_terms.append(len(counts))
-        removed += len(tokens) - len(kept)
-        term_ids.extend([vocab.setdefault(term, len(vocab)) for term in counts])
-        tfs.extend(counts.values())
+        lengths.append(len(tokens))
+        stream.extend(map(ids.__getitem__, tokens))
 
-    terms = sorted(vocab)
-    position = np.argsort(np.array([vocab[t] for t in terms], dtype=np.int64))
-    keys = position[np.asarray(term_ids, dtype=np.int64)]  # sorted term position
-    order = np.argsort(keys, kind="stable")
-    ordinals = np.repeat(np.arange(len(docnos), dtype=np.uint32), doc_terms)
+    n = len(ordinal)
+    terms = sorted(ids if stoplist is None else (w for w in ids if w not in stoplist))
+    if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
+        raise ParseError("%d terms x %d documents overflow the sort keys"
+                         % (len(terms), n))
+    position = np.full(len(ids), -1, dtype=np.int64)  # token id -> index in terms
+    position[[ids[t] for t in terms]] = np.arange(len(terms))
+    tokens = np.frombuffer(stream, dtype=np.uint32)
+    doc = np.repeat(np.arange(n, dtype=np.uint32), np.frombuffer(lengths, dtype=np.uint32))
+    if len(terms) < len(ids):  # stopwords have no position: one mask drops them
+        kept = (position >= 0)[tokens]
+        tokens, doc = tokens[kept], doc[kept]
+    doc_lengths = np.bincount(doc, minlength=n).astype(np.uint32)
+    keys = position[tokens]
+    keys *= n
+    keys += doc
+    removed = len(stream) - len(keys)
+    del stream, tokens, doc  # freed before the postings arrays, to keep the peak low
+    keys.sort()
+    # a posting starts at the first key and wherever the key changes
+    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
+    pairs = np.empty((len(starts), 2), dtype=np.uint32)  # (ordinal, tf) rows
+    pairs[:, 1] = np.diff(starts, append=len(keys))
+    keys = keys[starts]  # one key per posting
+    doc_freqs = np.bincount(keys // n, minlength=len(terms)).astype(np.uint32)
+    pairs[:, 0] = keys % n
     index = Index(
-        docnos=docnos,
-        doc_lengths=np.array(doc_lengths, dtype=np.uint32),
+        docnos=list(ordinal),
+        doc_lengths=doc_lengths,
         terms=terms,
-        doc_freqs=np.bincount(keys, minlength=len(terms)).astype(np.uint32),
-        pairs=np.column_stack((ordinals[order], np.asarray(tfs, dtype=np.uint32)[order])),
-        total_tokens=sum(doc_lengths),
+        doc_freqs=doc_freqs,
+        pairs=pairs,
+        total_tokens=int(doc_lengths.sum()),
         stoplist=stoplist,
         strip_marks=strip_marks,
         stopwords_removed=removed,

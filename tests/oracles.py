@@ -29,6 +29,27 @@ def corpus_stats(docs):
     return tf, dl, n, total, avgdl, df, ctf
 
 
+def reference_index(docs, stopwords=frozenset()):
+    """docs: list of (docno, token list), in build order.  What an index
+    of them must hold once ``stopwords`` are dropped, counted per document
+    with Counters: the sorted terms, each term's (ordinal, tf) rows in
+    ordinal order, doc lengths by ordinal, ctf, and the token counts."""
+    kept = [(docno, [t for t in tokens if t not in stopwords]) for docno, tokens in docs]
+    tf, dl, _, total, _, _, ctf = corpus_stats(kept)
+    rows = {term: [] for term in ctf}
+    for ordinal, (docno, _) in enumerate(docs):
+        for term, count in tf[docno].items():
+            rows[term].append([ordinal, count])
+    return {
+        "terms": sorted(ctf),
+        "postings": rows,
+        "doc_lengths": [dl[docno] for docno, _ in docs],
+        "ctf": dict(ctf),
+        "total_tokens": total,
+        "stopwords_removed": sum(len(tokens) for _, tokens in docs) - total,
+    }
+
+
 def bm25_scores(docs, query_terms, k1=1.2, b=0.75, k3=7.0):
     """Document -> score for documents containing at least one query term."""
     tf, dl, n, _, avgdl, df, _ = corpus_stats(docs)

@@ -23,6 +23,9 @@ TOY_SGML = (
 # byte 27 is not UTF-8
 BAD_UTF8_SGML = b"<DOC><DOCNO>X</DOCNO><TEXT>\xff</TEXT></DOC>"
 
+# a second document numbered D1, as TOY_SGML's first is
+DUP_D1 = "<DOC><DOCNO>D1</DOCNO><TEXT>z</TEXT></DOC>\n"
+
 TOY_TOPIC = (
     "<top>\n<num> Number: 1 </num>\n<title> a </title>\n"
     "<desc> Description: </desc>\n</top>\n"
@@ -115,6 +118,22 @@ class TestIndexCommand:
                      "--model", "BM25"]) == 0
         out = capsys.readouterr().out
         assert out.split()[2] == "P"  # diacritized query matches diacritized doc
+
+    @pytest.mark.parametrize("files, message", [
+        ((TOY_SGML, DUP_D1),
+         "error: {1}: duplicate docno 'D1' (first in {0})"),
+        ((TOY_SGML + DUP_D1,),
+         "error: {0}: duplicate docno 'D1' (first in {0})"),
+    ], ids=["across files", "within a file"])
+    def test_duplicate_docno_names_both_files(self, tmp_path, capsys, files, message):
+        paths = [tmp_path / ("c%d.sgml" % i) for i in range(len(files))]
+        for path, text in zip(paths, files):
+            path.write_text(text, encoding="utf-8")
+        out = tmp_path / "t.idx"
+        rc = main(["index", "--corpus", *map(str, paths), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == message.format(*paths) + "\n"
+        assert sorted(tmp_path.iterdir()) == paths  # no index, no temp file
 
     def test_config_file_with_flag_override(self, toy, capsys):
         tmp, corpus, _ = toy
@@ -427,6 +446,16 @@ class TestCompareCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2" in err and "3" in err
+
+    def test_repeated_tag_names_both_reports(self, tmp_path, capsys):
+        qrels = self.qrels_text(["1", "2"])
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2}, qrels, capsys)
+        b = tmp_path / "copy.tsv"
+        b.write_bytes(a.read_bytes())
+        rc = main(["compare", str(a), str(b)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: %s: technique tag TFIDF repeats %s\n" % (b, a))
 
     def test_bad_number_in_report_names_file_and_line(self, tmp_path, capsys):
         qrels = self.qrels_text(["1", "2"])

@@ -8,13 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stoplab.cli import main
 from stoplab.errors import ParseError
 from stoplab.index import Index, build_index, parse_trec_documents
 from stoplab.stoplists import Stoplist
+from stoplab.textpipe import normalize, tokenize
 
-from oracles import random_corpus
+from oracles import random_corpus, reference_index
 
 TOY_DOCS = [("D1", "a b"), ("D2", "b c"), ("D3", "c c")]
 
@@ -27,6 +30,37 @@ def serialized(index: Index) -> bytes:
     buf = io.BytesIO()
     index.save(buf)
     return buf.getvalue()
+
+
+def fields(index: Index) -> tuple:
+    """Every field an index is built from; the rest derive from them."""
+    return (index.docnos, index.terms, index.doc_lengths.tolist(),
+            index.doc_freqs.tolist(), index.pairs.tolist(), index.total_tokens,
+            index.stoplist, index.strip_marks, index.stopwords_removed)
+
+
+# Arabic letters with the alef, alef-maqsura and teh-marbuta variants that
+# normalization folds, diacritics and tatweel, and Latin letters and digits
+ARABIC = "ابتجدةىيأإآ\u064b\u064e\u0650\u0651\u0652\u0640"
+LATIN = "abZ09"
+
+
+@st.composite
+def corpora(draw):
+    """(docs, stoplist, strip_marks): documents over a small pool of words,
+    so terms repeat within and across them, some empty, docnos in random
+    order, and a stoplist (or none) drawn from the corpus's own tokens."""
+    strip_marks = draw(st.booleans())
+    pool = draw(st.lists(st.text(st.sampled_from(ARABIC + LATIN), min_size=1, max_size=4),
+                         min_size=1, max_size=8))
+    texts = draw(st.lists(st.lists(st.sampled_from(pool), max_size=12).map(" ".join),
+                          max_size=8))
+    order = draw(st.permutations(range(len(texts))))
+    docs = [("D%d" % i, text) for i, text in zip(order, texts)]
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    stopwords = frozenset(draw(st.sets(st.sampled_from(words)))) if words else frozenset()
+    stoplist = draw(st.sampled_from([None, Stoplist("drawn", stopwords)]))
+    return docs, stoplist, strip_marks
 
 
 class TestParseTrecDocuments:
@@ -131,6 +165,30 @@ class TestBuildIndex:
             removed = sum(plain.ctf[w] for w in chosen)
             assert filtered.total_tokens == plain.total_tokens - removed
             assert filtered.stopwords_removed == removed
+
+
+class TestBuildAgainstReference:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(corpus=corpora())
+    @example(corpus=([], None, True))
+    @example(corpus=([("D2", "a b a"), ("D1", "")], Stoplist("all", frozenset("ab")), True))
+    def test_build_matches_brute_force_and_round_trips(self, corpus):
+        docs, stoplist, strip_marks = corpus
+        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        tokens = [(docno, tokenize(normalize(text, strip_marks))) for docno, text in docs]
+        ref = reference_index(tokens, stoplist.words if stoplist else frozenset())
+        assert idx.docnos == [docno for docno, _ in docs]
+        assert idx.terms == ref["terms"]
+        assert as_lists(idx.postings) == ref["postings"]
+        assert idx.doc_lengths.tolist() == ref["doc_lengths"]
+        assert idx.ctf == ref["ctf"]
+        assert idx.total_tokens == ref["total_tokens"]
+        assert idx.stopwords_removed == ref["stopwords_removed"]
+        # load(save(i)) == i
+        blob = serialized(idx)
+        loaded = Index.load(io.BytesIO(blob))
+        assert serialized(loaded) == blob
+        assert fields(loaded) == fields(idx)
 
 
 class TestSerialization:

@@ -107,3 +107,22 @@ def test_any_bytes_parse_or_raise_one_named_line(scratch, reader, data):
     "stopwords_removed": 0, "stoplist": None}).encode("utf-8")))
 def test_framed_index_bytes_load_or_raise_one_named_line(scratch, data):
     check_contract("index", scratch, data)
+
+
+@pytest.mark.parametrize("reader", ["qrels", "run", "stoplist"])
+def test_open_text_file_decode_error_names_role_and_byte(tmp_path, reader):
+    """A file opened in text mode is decoded by the one decode path too, so
+    its bad bytes give the role, line and byte, not a UnicodeDecodeError."""
+    path = tmp_path / "input"
+    path.write_bytes(b"1 Q0 D1\n1 Q0 \xff 1\n")
+    with open(path, encoding="utf-8") as f, pytest.raises(ParseError) as info:
+        READERS[reader](f)
+    assert str(info.value) == "%s line 2: invalid utf-8 at byte 13: invalid start byte" % reader
+
+
+def test_open_text_file_is_read_from_where_it_stands(tmp_path):
+    path = tmp_path / "qrels"
+    path.write_bytes(b"1 0 A 1\n1 0 B 1\n")
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        assert parse_qrels(f) == {"1": {"B"}}
