@@ -29,7 +29,7 @@ print("N=%d  total_tokens=%d  avgdl=%.2f" % (plain.N, plain.total_tokens, plain.
 q = Query.from_text("1", query_text)
 for scorer in (score_tfidf, score_bm25, score_kl_dirichlet):
     run = scorer(plain, q)
-    pretty = "  ".join("%s:%+.3f" % (e.docno, e.score) for e in run.entries)
+    pretty = "  ".join("%s:%+.3f" % pair for pair in zip(run.docnos, run.scores))
     print("%-18s %s" % (run.tag, pretty))
 
 print()
@@ -43,7 +43,7 @@ print("N=%d  total_tokens=%d  avgdl=%.2f  removed=%d"
 q = Query.from_text("1", query_text, stoplist=gs)
 for scorer in (score_tfidf, score_bm25, score_kl_dirichlet):
     run = scorer(filtered, q, tag=scorer.__name__)
-    pretty = "  ".join("%s:%+.3f" % (e.docno, e.score) for e in run.entries)
+    pretty = "  ".join("%s:%+.3f" % pair for pair in zip(run.docnos, run.scores))
     print("%-18s %s" % (run.tag, pretty))
 
 print()

@@ -4,16 +4,18 @@ curve, cutoff precisions and R-precision.
 Run:  python demos/04_evaluation.py
 """
 
-from stoplab import RankedRun, RunEntry, evaluate_query, evaluate_run
+import numpy as np
 
-# a ten-document ranking with the relevant documents at ranks 1 and 3
-entries = [
-    RunEntry(docno, 10.0 - rank, rank)
-    for rank, docno in enumerate(
-        ["rel_a", "junk1", "rel_b", "junk2", "junk3", "junk4"], start=1
-    )
-]
-run = RankedRun(qid="42", entries=entries, tag="DEMO")
+from stoplab import RankedRun, evaluate_query, evaluate_run
+
+# a six-document ranking with the relevant documents at ranks 1 and 3; a run
+# is two columns in rank order, so the document at position i has rank i + 1
+run = RankedRun(
+    qid="42",
+    docnos=["rel_a", "junk1", "rel_b", "junk2", "junk3", "junk4"],
+    scores=np.array([9.0, 8.0, 7.0, 6.0, 5.0, 4.0]),
+    tag="DEMO",
+)
 relevant = {"rel_a", "rel_b"}
 
 ev = evaluate_query(run, relevant)
@@ -30,11 +32,8 @@ print("P@5 = %.4f (relevant found / 5, retrieved or not)" % ev.cutoff_precision[
 print()
 print("aggregating two queries")
 print("-" * 60)
-run2 = RankedRun(
-    qid="43",
-    entries=[RunEntry("x", 2.0, 1), RunEntry("rel_c", 1.0, 2)],
-    tag="DEMO",
-)
+run2 = RankedRun(qid="43", docnos=["x", "rel_c"], scores=np.array([2.0, 1.0]),
+                 tag="DEMO")
 report = evaluate_run([run, run2], {"42": relevant, "43": {"rel_c"}})
 print("per-query AP: %s" % {q.qid: round(q.average_precision, 4)
                             for q in report.per_query})

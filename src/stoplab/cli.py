@@ -23,6 +23,8 @@ import sys
 from contextlib import nullcontext
 from dataclasses import fields
 
+import numpy as np
+
 from . import stoplists
 from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
 from .index import DuplicateDocno, Index, build_index, parse_trec_documents
@@ -31,7 +33,6 @@ from .ranking import (
     DirichletParams,
     Query,
     RankedRun,
-    RunEntry,
     SCORERS,
     TFIDFParams,
 )
@@ -86,16 +87,21 @@ def _to_bool(value: str) -> bool:
         return True
     if value.lower() in ("0", "false", "no", "off"):
         return False
-    raise UsageError("expected a boolean, got %r" % value)
+    raise ValueError("expected a boolean, got %r" % value)
 
 
 def _merged(args, key: str, convert, default):
-    """Resolve an option: explicit flag wins, then config file, then default."""
+    """Resolve an option: explicit flag wins, then config file, then default.
+    A config value that ``convert`` rejects with ValueError is a usage
+    error naming the config file and the key."""
     value = getattr(args, key)
     if value is not None:
         return value
     if key in args._config:
-        return convert(args._config[key])
+        try:
+            return convert(args._config[key])
+        except ValueError as exc:
+            raise UsageError("%s: bad %s: %s" % (args.config, key, exc)) from None
     return default
 
 
@@ -179,19 +185,19 @@ def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
 
 
 def write_run(run: RankedRun, out) -> None:
-    for entry in run.entries:
-        out.write(
-            "%s Q0 %s %d %.6f %s\n"
-            % (run.qid, entry.docno, entry.rank, entry.score, run.tag)
-        )
+    ranks = range(1, len(run.docnos) + 1)
+    out.write("".join([
+        "%s Q0 %s %d %.6f %s\n" % (run.qid, docno, rank, score, run.tag)
+        for docno, rank, score in zip(run.docnos, ranks, run.scores.tolist())
+    ]))
 
 
 def read_run_file(source) -> list[RankedRun]:
     """Parse a TREC run file into per-query runs, in order of first
-    appearance.  Each query's entries are ordered by the rank column, and
-    equal ranks keep file order; scores do not affect the order."""
-    runs: dict[str, RankedRun] = {}
-    docnos_seen: dict[str, set[str]] = {}
+    appearance.  Each query's docnos and scores are put in order by the
+    rank column, and equal ranks keep file order; scores do not affect the
+    order.  The rank values themselves are not kept: a rank is a position."""
+    columns: dict[str, tuple] = {}  # qid -> tag, docnos seen, docnos, ranks, scores
     name = source_name(source, "run")
     for lineno, line in iter_lines(source, name):
         fields = line.split()
@@ -206,17 +212,22 @@ def read_run_file(source) -> list[RankedRun]:
             score = float(score_s)
         except ValueError:
             raise ParseError("%s line %d: bad rank or score" % (name, lineno)) from None
-        if qid not in runs:
-            runs[qid] = RankedRun(qid=qid, entries=[], tag=tag)
-            docnos_seen[qid] = set()
-        if docno in docnos_seen[qid]:
+        if qid not in columns:
+            columns[qid] = (tag, set(), [], [], [])
+        _, seen, docnos, ranks, scores = columns[qid]
+        if docno in seen:
             raise ParseError("%s line %d: duplicate docno %r for query %s"
                              % (name, lineno, docno, qid))
-        docnos_seen[qid].add(docno)
-        runs[qid].entries.append(RunEntry(docno, score, rank))
-    for run in runs.values():
-        run.entries.sort(key=lambda e: e.rank)
-    return list(runs.values())
+        seen.add(docno)
+        docnos.append(docno)
+        ranks.append(rank)
+        scores.append(score)
+    runs = []
+    for qid, (tag, _, docnos, ranks, scores) in columns.items():
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable
+        runs.append(RankedRun(qid, [docnos[i] for i in order],
+                              np.array([scores[i] for i in order]), tag))
+    return runs
 
 
 # -- evaluation reports -------------------------------------------------------
@@ -346,13 +357,13 @@ def cmd_index(args) -> int:
 
 def _check_encoding(value: str) -> str:
     if value not in ENCODINGS:
-        raise UsageError("encoding must be one of %s" % (sorted(ENCODINGS),))
+        raise ValueError("encoding must be one of %s" % (sorted(ENCODINGS),))
     return value
 
 
 def _check_model(value: str) -> str:
     if value not in MODELS:
-        raise UsageError("model must be one of %s" % (MODELS,))
+        raise ValueError("model must be one of %s" % (MODELS,))
     return value
 
 
@@ -384,7 +395,7 @@ def cmd_search(args) -> int:
                 qid, text, stoplist=index.stoplist, strip_marks=index.strip_marks
             )
             run = scorer(index, query, params, top_k=top_k, tag=tag)
-            if not run.entries:
+            if not run.docnos:
                 print(
                     "warning: query %s produced no results "
                     "(all terms filtered or unindexed)" % qid,

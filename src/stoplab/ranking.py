@@ -36,9 +36,10 @@ form:
 The models share one scoring core, which adds each model's per-posting
 weight into document scores in sorted-term order and then ranks; KL also
 starts every document at its length term.  BM25 and TF*IDF rank only the
-documents containing a query term.  Entries are ordered by descending
-score, ties broken by docno ascending, ranks numbered from 1; identical
-inputs always produce identical runs.
+documents containing a query term.  A run is two columns, docnos and
+scores, ordered by descending score with ties broken by docno ascending;
+a document's rank is its position plus one.  Identical inputs always
+produce identical runs.
 """
 
 import logging
@@ -116,13 +117,31 @@ class RunEntry(NamedTuple):
     rank: int
 
 
-@dataclass
+@dataclass(eq=False)
 class RankedRun:
-    """Ranked result list for one query, tagged with its technique code."""
+    """Ranked result list for one query, tagged with its technique code.
+
+    ``docnos[i]`` holds rank ``i + 1`` with score ``scores[i]``; the two
+    columns have equal length and are in rank order.
+    """
 
     qid: str
-    entries: list[RunEntry]
+    docnos: list[str]
+    scores: np.ndarray  # float64
     tag: str
+
+    def __eq__(self, other):
+        if not isinstance(other, RankedRun):
+            return NotImplemented
+        return ((self.qid, self.docnos, self.tag) == (other.qid, other.docnos, other.tag)
+                and np.array_equal(self.scores, other.scores))
+
+    @property
+    def entries(self) -> list[RunEntry]:
+        """The run as (docno, score, rank) rows, derived from the columns
+        for callers that read rows; stoplab itself reads only the columns."""
+        return [RunEntry(docno, score, rank) for rank, (docno, score)
+                in enumerate(zip(self.docnos, self.scores.tolist()), start=1)]
 
 
 def _per_distinct(f, values: np.ndarray) -> np.ndarray:
@@ -138,7 +157,7 @@ def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
     order (so scores are bit-stable), add ``weight(term, qtf, tf, dl)`` to
     the scores of its postings' documents.  Scores start at zero, and the
     candidates are the matched documents; or, given a ``prior``, at the
-    prior, and every document is a candidate.  No match, no entries.
+    prior, and every document is a candidate.  No match, an empty run.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -154,7 +173,7 @@ def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
         )
         matched[ordinals] = True
     if not matched.any():
-        return RankedRun(qid=query.qid, entries=[], tag=tag)
+        return RankedRun(query.qid, [], np.zeros(0), tag)
     candidates = np.flatnonzero(matched) if prior is None else np.arange(index.N)
     values = scores[candidates]
     if len(candidates) > top_k:
@@ -163,13 +182,8 @@ def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
         keep = values >= np.partition(values, cut)[cut]
         candidates, values = candidates[keep], values[keep]
     order = np.lexsort((index.docno_rank[candidates], -values))[:top_k]
-    entries = [
-        RunEntry(index.docnos[ordinal], score, rank)
-        for rank, (ordinal, score) in enumerate(
-            zip(candidates[order].tolist(), values[order].tolist()), start=1
-        )
-    ]
-    return RankedRun(qid=query.qid, entries=entries, tag=tag)
+    docnos = [index.docnos[i] for i in candidates[order].tolist()]
+    return RankedRun(query.qid, docnos, values[order], tag)
 
 
 def score_bm25(

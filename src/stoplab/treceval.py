@@ -83,7 +83,7 @@ def evaluate_query(run: RankedRun, relevant: set[str]) -> QueryEval:
     but callers exclude it from aggregates.
     """
     num_relevant = len(relevant)
-    flags = [entry.docno in relevant for entry in run.entries]
+    flags = [docno in relevant for docno in run.docnos]
     hits = list(accumulate(flags, initial=0))  # relevant among the first r
     # precision at each rank that retrieves a relevant document, in order
     precision = [h / r for h, r in enumerate(compress(count(1), flags), start=1)]

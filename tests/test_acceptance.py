@@ -21,6 +21,7 @@ import random
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stoplab.cli import main, read_report_tsv
@@ -201,7 +202,7 @@ def test_criterion_6_evaluation_metrics():
     if set(rep.flagged) != FIXTURE_FLAGGED:
         failures.append("flagged set differs")
 
-    from stoplab.ranking import RankedRun, RunEntry
+    from stoplab.ranking import RankedRun
 
     rng = random.Random(1006)
     for trial in range(1000):
@@ -209,9 +210,9 @@ def test_criterion_6_evaluation_metrics():
         docs = ["d%d" % i for i in range(n)]
         relevant = set(rng.sample(docs, rng.randint(0, n))) if n else set()
         relevant |= {"m%d" % i for i in range(rng.randint(0, 3))}
-        entries = [RunEntry(d, float(n - i), i + 1) for i, d in enumerate(docs)]
+        scores = np.arange(n, 0, -1, dtype=np.float64)
         curve = evaluate_query(
-            RankedRun("q", entries, "T"), relevant
+            RankedRun("q", docs, scores, "T"), relevant
         ).interp_precision
         if any(a < b for a, b in zip(curve, curve[1:])):
             failures.append("trial %d: interpolated curve increases" % trial)

@@ -1,13 +1,18 @@
 import gzip
+import io
 import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stoplab.cli import main, parse_topics, read_report_tsv, read_run_file
+from stoplab.cli import main, parse_topics, read_report_tsv, read_run_file, write_run
 from stoplab.errors import ParseError
 from stoplab.index import Index
+from stoplab.ranking import RankedRun
 from stoplab.treceval import evaluate_run, parse_qrels
 
 from test_index import _damage_cases
@@ -361,6 +366,60 @@ class TestRunFileOrder:
         qrels.write_text("1 0 D2 1\n", encoding="utf-8")
         report = evaluate_run(runs, parse_qrels(qrels))
         assert report.per_query[0].average_precision == 0.5  # by score: 1.0
+
+
+names = st.text(st.sampled_from("aZ09-_.قال"), min_size=1, max_size=5)
+
+
+@st.composite
+def ranked_runs(draw):
+    """Runs with distinct qids, each with at least one line to write, and
+    scores in any order, since the rank column alone orders a run."""
+    runs = []
+    for qid in draw(st.lists(names, max_size=4, unique=True)):
+        docnos = draw(st.lists(names, min_size=1, max_size=8, unique=True))
+        scores = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=len(docnos), max_size=len(docnos)))
+        runs.append(RankedRun(qid, docnos, np.array(scores), draw(names)))
+    return runs
+
+
+def run_text(runs) -> str:
+    out = io.StringIO()
+    for run in runs:
+        write_run(run, out)
+    return out.getvalue()
+
+
+def columns(runs) -> dict:
+    return {r.qid: (r.tag, r.docnos, r.scores.tolist()) for r in runs}
+
+
+class TestRunFileRoundTrip:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(runs=ranked_runs(), data=st.data())
+    def test_written_runs_read_back_in_any_line_order(self, runs, data):
+        text = run_text(runs)
+        back = read_run_file(io.StringIO(text))
+        assert [(r.qid, r.tag, r.docnos) for r in back] == [
+            (r.qid, r.tag, r.docnos) for r in runs]
+        for run, read in zip(runs, back):
+            assert read.scores.tolist() == [float("%.6f" % s) for s in run.scores.tolist()]
+        shuffled = data.draw(st.permutations(text.splitlines(keepends=True)))
+        assert columns(read_run_file(io.StringIO("".join(shuffled)))) == columns(back)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(lines=st.lists(st.tuples(names, st.integers(-2, 3), st.floats(-9, 9)),
+                          max_size=12, unique_by=lambda line: line[0]))
+    def test_equal_ranks_keep_file_order(self, lines):
+        text = "".join("q Q0 %s %d %.6f T\n" % line for line in lines)
+        # rank by rank, each rank's lines in file order
+        by_rank = [(docno, float("%.6f" % score))
+                   for rank in sorted({r for _, r, _ in lines})
+                   for docno, r, score in lines if r == rank]
+        runs = read_run_file(io.StringIO(text))
+        assert [list(zip(r.docnos, r.scores.tolist())) for r in runs] == (
+            [by_rank] if lines else [])
 
 
 class TestCompareCommand:
@@ -737,6 +796,26 @@ class TestConfigFiles:
         rc = main(["search", "--config", str(cfg), "--index", str(idx),
                    "--topics", str(topics)])
         assert rc == 1
+
+    @pytest.mark.parametrize("command, line, message", [
+        ("search", "top_k=abc", "bad top_k: invalid literal for int() with base 10: 'abc'"),
+        ("search", "k1=x", "bad k1: could not convert string to float: 'x'"),
+        ("index", "keep_marks=maybe", "bad keep_marks: expected a boolean, got 'maybe'"),
+    ])
+    def test_bad_config_value_names_file_and_key(self, toy, capsys, command, line,
+                                                 message):
+        tmp, corpus, topics = toy
+        idx = tmp / "t.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        cfg = tmp / "bad.cfg"
+        cfg.write_text("model=BM25\n%s\n" % line, encoding="utf-8")
+        capsys.readouterr()
+        args = {"search": ["--index", str(idx), "--topics", str(topics)],
+                "index": ["--corpus", str(corpus), "--out", str(tmp / "x.idx")]}
+        rc = main([command, "--config", str(cfg), *args[command]])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: %s: %s\n" % (cfg, message)
+        assert not (tmp / "x.idx").exists()
 
 
 def _failing_command(command, tmp, corpus, topics):

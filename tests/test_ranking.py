@@ -1,7 +1,10 @@
 import math
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stoplab.index import build_index
 from stoplab.ranking import (
@@ -14,8 +17,10 @@ from stoplab.ranking import (
     score_tfidf,
 )
 from stoplab.stoplists import Stoplist
+from stoplab.textpipe import normalize, tokenize
 
 import oracles
+from test_index import corpora
 
 TOY_DOCS = [("D1", "a b"), ("D2", "b c"), ("D3", "c c")]
 
@@ -188,6 +193,65 @@ class TestOracleAgreement:
             run = score_kl_dirichlet(idx, Query("1", q), top_k=len(docs) + 1)
             expected = oracles.kl_loglikelihood_scores(token_docs, q)
             assert engine_ranking(run) == oracles.ranking_of(expected)
+
+
+ABSENT = ["qq", "xyz"]  # letters no drawn corpus uses
+MODELS = [  # scorer, its parameters drawn from their valid range, oracle
+    (score_bm25, st.builds(BM25Params, k1=st.floats(0, 3), b=st.floats(0, 1),
+                           k3=st.floats(0, 10)), oracles.bm25_scores),
+    (score_tfidf, st.builds(TFIDFParams, k1=st.floats(0, 3), b=st.floats(0, 1)),
+     oracles.tfidf_scores),
+    (score_kl_dirichlet, st.builds(DirichletParams, mu=st.floats(1, 5000)),
+     oracles.kl_rank_equiv_scores),
+]
+
+
+@st.composite
+def searches(draw):
+    """(docs, stoplist, strip_marks, query text, [(params, top_k)] per model):
+    query words drawn from the corpus, stopwords included, and from ABSENT."""
+    docs, stoplist, strip_marks = draw(corpora())
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    text = " ".join(draw(st.lists(st.sampled_from(words + ABSENT), max_size=5)))
+    per_model = [(draw(params), draw(st.integers(1, len(docs) + 2)))
+                 for _, params, _ in MODELS]
+    return docs, stoplist, strip_marks, text, per_model
+
+
+DEFAULTS = [(BM25Params(), 3), (TFIDFParams(), 3), (DirichletParams(), 3)]
+
+
+class TestScorersAgainstOracles:
+    """Every scorer's run against the brute-force oracle's ranking."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(search=searches())
+    @example(search=([("D2", "a b"), ("D1", "b a")], None, True, "a", DEFAULTS))
+    @example(search=([("D1", "a b"), ("D2", "b")], Stoplist("s", frozenset("a")), True,
+                     "a a", DEFAULTS))
+    @example(search=([("D1", "a b")], None, True, "qq xyz", DEFAULTS))
+    def test_runs_match_brute_force(self, search):
+        docs, stoplist, strip_marks, text, per_model = search
+        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        stopwords = stoplist.words if stoplist else frozenset()
+        token_docs = [(docno, [t for t in tokenize(normalize(body, strip_marks))
+                               if t not in stopwords]) for docno, body in docs]
+        indexed = any(term in idx.postings for term in query.terms)
+        for (scorer, _, oracle), (params, top_k) in zip(MODELS, per_model):
+            run = scorer(idx, query, params, top_k=top_k)
+            expected = oracle(token_docs, query.terms, **asdict(params))
+            assert run.docnos == oracles.ranking_of(expected)[:top_k]
+            assert len(run.scores) == len(run.docnos)
+            for docno, score in zip(run.docnos, run.scores.tolist()):
+                assert math.isclose(score, expected[docno], rel_tol=1e-9, abs_tol=1e-9)
+            pairs = list(zip(run.scores.tolist(), run.docnos))
+            for (s1, d1), (s2, d2) in zip(pairs, pairs[1:]):
+                assert s1 > s2 or (s1 == s2 and d1 < d2)
+            if not indexed:  # only stopwords, absent terms, or nothing
+                assert run.docnos == []
+            elif scorer is score_kl_dirichlet:  # every document a candidate
+                assert len(run.docnos) == min(idx.N, top_k)
 
 
 class TestRankingProperties:

@@ -2,10 +2,11 @@ import io
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stoplab.errors import ParseError
-from stoplab.ranking import RankedRun, RunEntry
+from stoplab.ranking import RankedRun
 from stoplab.treceval import (
     CUTOFF_LEVELS,
     RECALL_LEVELS,
@@ -40,10 +41,8 @@ FIXTURE_FLAGGED = {"q4", "q10"}
 
 
 def run_of(qid, docnos):
-    entries = [
-        RunEntry(d, float(len(docnos) - i), i + 1) for i, d in enumerate(docnos)
-    ]
-    return RankedRun(qid=qid, entries=entries, tag="T")
+    scores = np.arange(len(docnos), 0, -1, dtype=np.float64)
+    return RankedRun(qid=qid, docnos=list(docnos), scores=scores, tag="T")
 
 
 class TestParseQrels:
