@@ -33,14 +33,14 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, atomic_write, source_name
 from .stoplists import Stoplist
-from .textpipe import normalize, tokenize
+from .textpipe import CHUNK_END, tokenize_chunks
 
 MAGIC = b"ARIDX002"
 _HEADER = struct.Struct("<8s4Q")
@@ -288,44 +288,72 @@ def build_index(
     """Normalize, tokenize, filter and count a document stream into an Index.
 
     Documents are read one at a time, in input order, into one stream of
-    token ids (a word's id is the order of its first appearance).  Then
-    one mask over the ids drops the stopwords, and one in-place sort of a
-    key per kept token, sorted-term position * N + doc ordinal, puts the
-    tokens in postings order: each run of equal keys is one posting, and
-    its length is the tf.  ``workers`` is accepted for compatibility and
-    has no effect: the build is serial, since tokenization holds the GIL
-    and threads only slowed it down.
+    whitespace chunk ids (``text.split()``; an id is the order of first
+    appearance).  The distinct chunks are then normalized and tokenized
+    in one batch, which by chunk locality (see :mod:`stoplab.textpipe`)
+    gives every chunk's tokens, and their ids come from the same table,
+    so a chunk that is a whole word keeps its id.  Repeating each chunk's
+    tokens along the chunk stream gives the stream of token ids and of doc
+    ordinals.  Then one mask over the ids drops the stopwords, and one
+    in-place sort of a key per kept token, sorted-term position * N + doc
+    ordinal, puts the tokens in postings order: each run of equal keys is
+    one posting, and its length is the tf.  ``workers`` is accepted for
+    compatibility and has no effect: the build is serial, since
+    tokenization holds the GIL and threads only slowed it down.
     """
     ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a new word gets the next id
-    stream, lengths = array("I"), array("I")
+    ids.default_factory = ids.__len__  # a new chunk or word gets the next id
+    ids[CHUNK_END]  # id 0 ends each chunk's tokens below
+    stream, chunk_counts = array("I"), array("I")
     ordinal: dict[str, int] = {}
     for docno, text in docs:
         if docno in ordinal:
             raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
         ordinal[docno] = len(ordinal)
-        tokens = tokenize(normalize(text, strip_marks=strip_marks))
-        lengths.append(len(tokens))
-        stream.extend(map(ids.__getitem__, tokens))
+        chunks = text.split()
+        chunk_counts.append(len(chunks))
+        stream.extend(map(ids.__getitem__, chunks))
 
+    # the distinct chunks have ids 1..C; the tokens of chunk c, mapped into
+    # the same table, are marked[first[c - 1]:ends[c - 1]], then its mark
+    marked = array("I", map(ids.__getitem__, tokenize_chunks(list(ids)[1:], strip_marks)))
+    marked = np.frombuffer(marked, dtype=np.uint32)
+    ends = np.flatnonzero(marked == 0)
+    width = np.diff(ends, prepend=-1) - 1
+    first = ends - width
+    chunk = np.frombuffer(stream, dtype=np.uint32) - 1  # c - 1 per occurrence
+    del stream
+    repeats = width[chunk]
+    # the j-th token of an occurrence of chunk c is marked[first[c - 1] + j]
+    where = np.repeat(first[chunk] + repeats - np.cumsum(repeats), repeats)
+    where += np.arange(len(where))
+    tokens = marked[where]
+    del where
     n = len(ordinal)
-    terms = sorted(ids if stoplist is None else (w for w in ids if w not in stoplist))
+    doc = np.repeat(np.arange(n, dtype=np.uint32), np.frombuffer(chunk_counts, dtype=np.uint32))
+    doc = np.repeat(doc, repeats)
+    del chunk, repeats
+
+    is_word = np.zeros(len(ids), dtype=bool)
+    is_word[marked] = True
+    is_word[0] = False
+    words = list(compress(ids, is_word.tolist()))
+    terms = sorted(words if stoplist is None else (w for w in words if w not in stoplist))
     if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))
     position = np.full(len(ids), -1, dtype=np.int64)  # token id -> index in terms
     position[[ids[t] for t in terms]] = np.arange(len(terms))
-    tokens = np.frombuffer(stream, dtype=np.uint32)
-    doc = np.repeat(np.arange(n, dtype=np.uint32), np.frombuffer(lengths, dtype=np.uint32))
-    if len(terms) < len(ids):  # stopwords have no position: one mask drops them
+    removed = len(tokens)
+    if len(terms) < len(words):  # stopwords have no position: one mask drops them
         kept = (position >= 0)[tokens]
         tokens, doc = tokens[kept], doc[kept]
+    removed -= len(tokens)
     doc_lengths = np.bincount(doc, minlength=n).astype(np.uint32)
     keys = position[tokens]
     keys *= n
     keys += doc
-    removed = len(stream) - len(keys)
-    del stream, tokens, doc  # freed before the postings arrays, to keep the peak low
+    del tokens, doc  # freed before the postings arrays, to keep the peak low
     keys.sort()
     # a posting starts at the first key and wherever the key changes
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))

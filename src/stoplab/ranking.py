@@ -66,8 +66,9 @@ class BM25Params:
     k3: float = 7.0
 
     def __post_init__(self):
-        if self.k1 < 0 or self.k3 < 0 or not 0.0 <= self.b <= 1.0:
-            raise ValueError("require k1 >= 0, 0 <= b <= 1, k3 >= 0")
+        if not (math.isfinite(self.k1) and self.k1 >= 0 and 0.0 <= self.b <= 1.0
+                and math.isfinite(self.k3) and self.k3 >= 0):
+            raise ValueError("require finite k1 >= 0, 0 <= b <= 1, finite k3 >= 0")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class TFIDFParams:
     b: float = 0.3
 
     def __post_init__(self):
-        if self.k1 < 0 or not 0.0 <= self.b <= 1.0:
-            raise ValueError("require k1 >= 0, 0 <= b <= 1")
+        if not (math.isfinite(self.k1) and self.k1 >= 0 and 0.0 <= self.b <= 1.0):
+            raise ValueError("require finite k1 >= 0, 0 <= b <= 1")
 
 
 @dataclass(frozen=True)
@@ -85,8 +86,8 @@ class DirichletParams:
     mu: float = 2000.0
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError("mu must be positive and finite")
 
 
 @dataclass

@@ -20,7 +20,16 @@ Tokens are maximal runs of Arabic letters or of Latin alphanumerics; every
 other character is a separator.  A mixed run of Latin letters and digits is
 a single token ("TREC2001"); a hyphen splits ("TREC-2001" gives two tokens).
 
-Both functions are pure; they are safe to call concurrently.
+Chunk locality: neither step looks across whitespace.  No rule matches a
+whitespace character, and whitespace ends a word just as the end of the
+text does, so for any ``s``::
+
+    tokenize(normalize(s)) == [t for c in s.split() for t in tokenize(normalize(c))]
+
+Natural text repeats its words, so an index build tokenizes each distinct
+whitespace chunk once, all of them in one batch (:func:`tokenize_chunks`).
+
+All functions are pure; they are safe to call concurrently.
 """
 
 import re
@@ -36,6 +45,9 @@ _ALEF_VARIANTS_RE = re.compile(r"[آأإ]")
 _FINAL_ALEF_MAQSURA_RE = re.compile(r"ى(?![%s])" % _WORD_CHARS)
 _FINAL_TEH_MARBUTA_RE = re.compile(r"ة(?![%s])" % _WORD_CHARS)
 _TOKEN_RE = re.compile(r"[%s]+|[A-Za-z0-9]+" % ARABIC_LETTERS)
+
+CHUNK_END = "\n"
+_CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + CHUNK_END)
 
 
 def normalize(text: str, strip_marks: bool = True) -> str:
@@ -59,3 +71,15 @@ def tokenize(text: str) -> list[str]:
     a token.
     """
     return _TOKEN_RE.findall(text)
+
+
+def tokenize_chunks(chunks: list[str], strip_marks: bool = True) -> list[str]:
+    """Normalize and tokenize whitespace-free ``chunks`` in one batch.
+
+    Returns each chunk's tokens followed by one :data:`CHUNK_END`, chunk
+    after chunk, so the tokens of ``chunks[i]`` (there may be none) are
+    those after the first ``i`` marks and before the next one.  By chunk
+    locality they are ``tokenize(normalize(chunks[i], strip_marks))``.
+    """
+    text = CHUNK_END.join([*chunks, ""])
+    return _CHUNK_TOKEN_RE.findall(normalize(text, strip_marks=strip_marks))

@@ -203,6 +203,24 @@ class TestSearchCommand:
         assert captured.out == ""
         assert "no results" in captured.err
 
+    @pytest.mark.parametrize("model, flag, value", [
+        ("BM25", "--k1", "-1"), ("BM25", "--k1", "nan"), ("BM25", "--k3", "inf"),
+        ("TFIDF", "--k1", "-inf"), ("KL", "--mu", "inf"), ("KL", "--mu", "nan"),
+    ])
+    def test_bad_model_parameter_exits_2_without_output(self, toy, capsys, model, flag, value):
+        tmp, idx, topics = self.build(toy)
+        out = tmp / "r.run"
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main(["search", "--index", str(idx), "--topics", str(topics),
+                   "--model", model, "%s=%s" % (flag, value), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: require finite k1 >= 0" if flag != "--mu"
+                              else "error: mu must be positive and finite")
+        assert err.count("\n") == 1
+        assert sorted(tmp.iterdir()) == before  # no run file, no temp file
+
     def test_unknown_model_is_usage_error(self, toy):
         tmp, idx, topics = self.build(toy)
         rc = main(["search", "--index", str(idx), "--topics", str(topics),

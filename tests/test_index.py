@@ -40,9 +40,21 @@ def fields(index: Index) -> tuple:
 
 
 # Arabic letters with the alef, alef-maqsura and teh-marbuta variants that
-# normalization folds, diacritics and tatweel, and Latin letters and digits
+# normalization folds, diacritics and tatweel, Latin letters and digits, and
+# punctuation, so one whitespace chunk may hold no token, one, or several
 ARABIC = "ابتجدةىيأإآ\u064b\u064e\u0650\u0651\u0652\u0640"
 LATIN = "abZ09"
+PUNCTUATION = "\u060c.-"
+SEPARATORS = [" ", "\t", "\n", "\xa0", "\u2003", "\x85"]
+
+
+@st.composite
+def joined(draw, pool):
+    """Up to 12 words of ``pool``, each pair split by one drawn whitespace
+    character."""
+    words = draw(st.lists(st.sampled_from(pool), max_size=12))
+    gaps = draw(st.lists(st.sampled_from(SEPARATORS), min_size=len(words), max_size=len(words)))
+    return "".join(g + w for g, w in zip(gaps, words))[1:]  # no gap before the first
 
 
 @st.composite
@@ -51,10 +63,10 @@ def corpora(draw):
     so terms repeat within and across them, some empty, docnos in random
     order, and a stoplist (or none) drawn from the corpus's own tokens."""
     strip_marks = draw(st.booleans())
-    pool = draw(st.lists(st.text(st.sampled_from(ARABIC + LATIN), min_size=1, max_size=4),
+    pool = draw(st.lists(st.text(st.sampled_from(ARABIC + LATIN + PUNCTUATION),
+                                 min_size=1, max_size=6),
                          min_size=1, max_size=8))
-    texts = draw(st.lists(st.lists(st.sampled_from(pool), max_size=12).map(" ".join),
-                          max_size=8))
+    texts = draw(st.lists(joined(pool), max_size=8))
     order = draw(st.permutations(range(len(texts))))
     docs = [("D%d" % i, text) for i, text in zip(order, texts)]
     words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})

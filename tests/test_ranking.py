@@ -53,6 +53,14 @@ class TestParams:
         with pytest.raises(ValueError):
             DirichletParams(mu=-5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("params, field", [
+        (BM25Params, "k1"), (BM25Params, "k3"), (TFIDFParams, "k1"), (DirichletParams, "mu"),
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_non_finite_rejected(self, params, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            params(**{field: value})
+
 
 class TestQuery:
     def test_from_text_counts_terms(self):

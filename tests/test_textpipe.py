@@ -1,6 +1,11 @@
 import random
+import string
 
-from stoplab.textpipe import normalize, tokenize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stoplab.textpipe import CHUNK_END, normalize, tokenize, tokenize_chunks
 
 ALEF = "ا"
 ALEF_MADDA = "آ"
@@ -121,3 +126,41 @@ class TestTokenize:
         for s in random_strings(1000, seed=10):
             tokens = tokenize(normalize(s))
             assert tokenize(" ".join(tokens)) == tokens
+
+
+# Arabic letters; the alef, alef-maqsura and teh-marbuta variants, the
+# marks and tatweel, which the rules rewrite; Latin letters, digits and
+# punctuation; and every whitespace character below U+3001 (U+001C..U+001F,
+# U+0085, U+00A0, U+2003, U+3000, ...).  Each group is drawn as often as the
+# others, so a rewritten character next to a rare space comes up.
+LOCALITY_GROUPS = [
+    [chr(c) for c in range(0x0621, 0x064B)],
+    [ALEF_MADDA, ALEF_HAMZA_ABOVE, ALEF_HAMZA_BELOW, ALEF_MAQSURA, TEH_MARBUTA, TATWEEL]
+    + [chr(c) for c in range(0x064B, 0x0653)],
+    list(string.ascii_letters + string.digits + string.punctuation),
+    [chr(c) for c in range(0x3001) if chr(c).isspace()],
+]
+LOCALITY_TEXT = st.text(st.one_of([st.sampled_from(g) for g in LOCALITY_GROUPS]), max_size=40)
+
+
+def assert_local(text, strip_marks):
+    per_chunk = [tokenize(normalize(c, strip_marks)) for c in text.split()]
+    assert tokenize(normalize(text, strip_marks)) == [t for ts in per_chunk for t in ts]
+    assert tokenize_chunks(text.split(), strip_marks) == [
+        t for ts in per_chunk for t in [*ts, CHUNK_END]]
+
+
+class TestChunkLocality:
+    """Neither normalize nor tokenize looks across whitespace."""
+
+    @pytest.mark.parametrize("strip_marks", [True, False])
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(text=LOCALITY_TEXT)
+    def test_tokens_are_the_chunks_tokens(self, text, strip_marks):
+        assert_local(text, strip_marks)
+
+    @pytest.mark.parametrize("strip_marks", [True, False])
+    def test_each_rewritten_character_beside_each_space(self, strip_marks):
+        for space in LOCALITY_GROUPS[3]:
+            for c in LOCALITY_GROUPS[1]:
+                assert_local("ب%s%s%sب%s" % (c, space, c, space), strip_marks)
