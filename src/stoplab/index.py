@@ -33,14 +33,14 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
-from itertools import accumulate, compress
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ParseError, atomic_write, source_name
 from .stoplists import Stoplist
-from .textpipe import CHUNK_END, tokenize_chunks
+from .textpipe import normalize, tokenize, tokenize_chunks
 
 MAGIC = b"ARIDX002"
 _HEADER = struct.Struct("<8s4Q")
@@ -279,6 +279,23 @@ class DuplicateDocno(ParseError):
         self.docno, self.first, self.again = docno, first, again
 
 
+# Tokenizing each distinct whitespace chunk once pays only where chunks
+# repeat.  On corpora of 350,000 chunks it was faster than tokenizing each
+# document in place with up to a sixth of the chunks distinct (0.65x at a
+# tenth), even from a quarter to a third, and slower above (1.2x at a half,
+# 1.4x with every chunk distinct).  A chunk holds a word or more, with any
+# punctuation attached, so chunks are more often distinct than words.  So a
+# build tokenizes documents in place until it has read this many tokens and
+# at most a quarter of them are distinct words, and reads the rest as chunks.
+SAMPLE_TOKENS = 1 << 14
+
+
+def _read_as_chunks(tokens: int, words: int) -> bool:
+    """Whether to read the remaining documents as chunks, after ``tokens``
+    tokens holding ``words`` distinct words were tokenized in place."""
+    return tokens >= SAMPLE_TOKENS and 4 * words <= tokens
+
+
 def build_index(
     docs: Iterable[tuple[str, str]],
     stoplist: Stoplist | None = None,
@@ -287,65 +304,71 @@ def build_index(
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
 
-    Documents are read one at a time, in input order, into one stream of
-    whitespace chunk ids (``text.split()``; an id is the order of first
-    appearance).  The distinct chunks are then normalized and tokenized
-    in one batch, which by chunk locality (see :mod:`stoplab.textpipe`)
-    gives every chunk's tokens, and their ids come from the same table,
-    so a chunk that is a whole word keeps its id.  Repeating each chunk's
-    tokens along the chunk stream gives the stream of token ids and of doc
-    ordinals.  Then one mask over the ids drops the stopwords, and one
-    in-place sort of a key per kept token, sorted-term position * N + doc
-    ordinal, puts the tokens in postings order: each run of equal keys is
-    one posting, and its length is the tf.  ``workers`` is accepted for
-    compatibility and has no effect: the build is serial, since
-    tokenization holds the GIL and threads only slowed it down.
+    Documents are read one at a time, in input order.  The first ones are
+    normalized and tokenized in place, into one stream of token ids (an id
+    is the order of first appearance).  Once words repeat enough (see
+    :func:`_read_as_chunks`), the rest are split at whitespace instead, into
+    one stream of chunk ids, and the distinct chunks are normalized and
+    tokenized in one batch, which by chunk locality (see
+    :mod:`stoplab.textpipe`) gives every chunk's tokens.  Repeating each
+    chunk's tokens along the chunk stream extends the token stream.  Then
+    one mask over the ids drops the stopwords, and one in-place sort of a
+    key per kept token, sorted-term position * N + doc ordinal, puts the
+    tokens in postings order: each run of equal keys is one posting, and
+    its length is the tf.  ``workers`` is accepted for compatibility and
+    has no effect: the build is serial, since tokenization holds the GIL
+    and threads only slowed it down.
     """
     ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a new chunk or word gets the next id
-    ids[CHUNK_END]  # id 0 ends each chunk's tokens below
-    stream, chunk_counts = array("I"), array("I")
+    ids.default_factory = ids.__len__  # a new word gets the next id
+    chunk_table: defaultdict[str, int] = defaultdict()
+    chunk_table.default_factory = chunk_table.__len__
+    token_ids, token_counts = array("I"), array("I")  # documents tokenized in place
+    chunk_ids, chunk_counts = array("I"), array("I")  # then those read as chunks
+    chunked = False
     ordinal: dict[str, int] = {}
     for docno, text in docs:
         if docno in ordinal:
             raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
         ordinal[docno] = len(ordinal)
-        chunks = text.split()
-        chunk_counts.append(len(chunks))
-        stream.extend(map(ids.__getitem__, chunks))
+        if chunked:
+            chunks = text.split()
+            chunk_counts.append(len(chunks))
+            chunk_ids.extend(map(chunk_table.__getitem__, chunks))
+        else:
+            tokens = tokenize(normalize(text, strip_marks=strip_marks))
+            token_counts.append(len(tokens))
+            token_ids.extend(map(ids.__getitem__, tokens))
+            chunked = _read_as_chunks(len(token_ids), len(ids))
 
-    # the distinct chunks have ids 1..C; the tokens of chunk c, mapped into
-    # the same table, are marked[first[c - 1]:ends[c - 1]], then its mark
-    marked = array("I", map(ids.__getitem__, tokenize_chunks(list(ids)[1:], strip_marks)))
-    marked = np.frombuffer(marked, dtype=np.uint32)
-    ends = np.flatnonzero(marked == 0)
-    width = np.diff(ends, prepend=-1) - 1
-    first = ends - width
-    chunk = np.frombuffer(stream, dtype=np.uint32) - 1  # c - 1 per occurrence
-    del stream
-    repeats = width[chunk]
-    # the j-th token of an occurrence of chunk c is marked[first[c - 1] + j]
-    where = np.repeat(first[chunk] + repeats - np.cumsum(repeats), repeats)
+    batch, ends = tokenize_chunks(list(chunk_table), strip_marks)
+    chunk_tokens = np.frombuffer(array("I", map(ids.__getitem__, batch)), dtype=np.uint32)
+    del batch, chunk_table
+    chunk = np.frombuffer(chunk_ids, dtype=np.uint32)
+    ends = np.array(ends, dtype=np.int64)
+    repeats = np.diff(ends, prepend=0)[chunk]  # tokens per chunk occurrence
+    through = np.zeros(len(chunk) + 1, dtype=np.int64)  # tokens before each occurrence
+    np.cumsum(repeats, out=through[1:])
+    # occurrence i, of chunk c, puts chunk_tokens[ends[c] - repeats[i]:ends[c]]
+    # at through[i]:through[i + 1] of its part of the token stream
+    where = np.repeat(ends[chunk] - through[1:], repeats)
     where += np.arange(len(where))
-    tokens = marked[where]
-    del where
+    tokens = np.empty(len(token_ids) + len(where), dtype=np.uint32)
+    tokens[:len(token_ids)] = token_ids
+    np.take(chunk_tokens, where, out=tokens[len(token_ids):])
+    lengths = np.concatenate((token_counts, np.diff(through[np.cumsum(chunk_counts)], prepend=0)))
+    del chunk, chunk_ids, chunk_tokens, token_ids, repeats, through, where
     n = len(ordinal)
-    doc = np.repeat(np.arange(n, dtype=np.uint32), np.frombuffer(chunk_counts, dtype=np.uint32))
-    doc = np.repeat(doc, repeats)
-    del chunk, repeats
+    doc = np.repeat(np.arange(n, dtype=np.uint32), lengths)  # lengths count stopwords
 
-    is_word = np.zeros(len(ids), dtype=bool)
-    is_word[marked] = True
-    is_word[0] = False
-    words = list(compress(ids, is_word.tolist()))
-    terms = sorted(words if stoplist is None else (w for w in words if w not in stoplist))
+    terms = sorted(ids if stoplist is None else (w for w in ids if w not in stoplist))
     if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))
     position = np.full(len(ids), -1, dtype=np.int64)  # token id -> index in terms
     position[[ids[t] for t in terms]] = np.arange(len(terms))
     removed = len(tokens)
-    if len(terms) < len(words):  # stopwords have no position: one mask drops them
+    if len(terms) < len(ids):  # stopwords have no position: one mask drops them
         kept = (position >= 0)[tokens]
         tokens, doc = tokens[kept], doc[kept]
     removed -= len(tokens)

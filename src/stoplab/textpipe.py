@@ -26,13 +26,16 @@ text does, so for any ``s``::
 
     tokenize(normalize(s)) == [t for c in s.split() for t in tokenize(normalize(c))]
 
-Natural text repeats its words, so an index build tokenizes each distinct
-whitespace chunk once, all of them in one batch (:func:`tokenize_chunks`).
+So text whose chunks repeat can be tokenized once per distinct chunk, all
+of them in one batch (:func:`tokenize_chunks`), as an index build does
+once its words repeat.
 
 All functions are pure; they are safe to call concurrently.
 """
 
 import re
+from itertools import compress, count
+from operator import not_, sub
 
 # Core Arabic letter ranges (hamza..ghain, feh..yeh); tatweel sits between
 # the two ranges and is deliberately excluded.
@@ -46,8 +49,8 @@ _FINAL_ALEF_MAQSURA_RE = re.compile(r"ى(?![%s])" % _WORD_CHARS)
 _FINAL_TEH_MARBUTA_RE = re.compile(r"ة(?![%s])" % _WORD_CHARS)
 _TOKEN_RE = re.compile(r"[%s]+|[A-Za-z0-9]+" % ARABIC_LETTERS)
 
-CHUNK_END = "\n"
-_CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + CHUNK_END)
+_CHUNK_END = "\n"
+_CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + _CHUNK_END)
 
 
 def normalize(text: str, strip_marks: bool = True) -> str:
@@ -73,13 +76,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def tokenize_chunks(chunks: list[str], strip_marks: bool = True) -> list[str]:
+def tokenize_chunks(chunks: list[str], strip_marks: bool = True) -> tuple[list[str], list[int]]:
     """Normalize and tokenize whitespace-free ``chunks`` in one batch.
 
-    Returns each chunk's tokens followed by one :data:`CHUNK_END`, chunk
-    after chunk, so the tokens of ``chunks[i]`` (there may be none) are
-    those after the first ``i`` marks and before the next one.  By chunk
-    locality they are ``tokenize(normalize(chunks[i], strip_marks))``.
+    Returns ``(tokens, ends)``: the tokens of all chunks, chunk after chunk,
+    and where each chunk's tokens end, so ``tokens[ends[i - 1]:ends[i]]``
+    (from 0 for the first) are those of ``chunks[i]``; there may be none.
+    By chunk locality they are ``tokenize(normalize(chunks[i], strip_marks))``.
     """
-    text = CHUNK_END.join([*chunks, ""])
-    return _CHUNK_TOKEN_RE.findall(normalize(text, strip_marks=strip_marks))
+    # one normalize and one findall over the chunks, each followed by a
+    # newline, which the findall returns too; newline k (from 0) follows
+    # chunk k's tokens and k earlier newlines, so its index less k is ends[k]
+    text = _CHUNK_END.join([*chunks, ""])
+    marked = _CHUNK_TOKEN_RE.findall(normalize(text, strip_marks=strip_marks))
+    is_end = list(map(_CHUNK_END.__eq__, marked))
+    ends = list(map(sub, compress(count(), is_end), count()))
+    return list(compress(marked, map(not_, is_end))), ends

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from stoplab.cli import main
 from stoplab.errors import ParseError
-from stoplab.index import Index, build_index, parse_trec_documents
+import stoplab.index
+from stoplab.index import SAMPLE_TOKENS, Index, build_index, parse_trec_documents
 from stoplab.stoplists import Stoplist
 from stoplab.textpipe import normalize, tokenize
 
@@ -166,6 +167,24 @@ class TestBuildIndex:
                 assert len(plist) <= idx.N
                 assert len(plist) <= idx.ctf[term]
 
+    def test_read_as_chunks_once_words_repeat(self):
+        read_as_chunks = stoplab.index._read_as_chunks
+        assert not read_as_chunks(SAMPLE_TOKENS - 4, 1)
+        assert read_as_chunks(SAMPLE_TOKENS, SAMPLE_TOKENS // 4)
+        assert not read_as_chunks(SAMPLE_TOKENS, SAMPLE_TOKENS // 4 + 1)
+
+    def test_repetitive_corpus_switches_to_chunks_with_equal_bytes(self, monkeypatch):
+        rng = random.Random(23)
+        pool = ["كتاب%d" % i for i in range(300)] + ["قال،", "من."]
+        docs = [("D%d" % i, " ".join(rng.choice(pool) for _ in range(80))) for i in range(400)]
+        real, decisions = stoplab.index._read_as_chunks, []
+        monkeypatch.setattr("stoplab.index._read_as_chunks",
+                            lambda tokens, words: decisions.append(real(tokens, words)) or decisions[-1])
+        switched = serialized(build_index(docs))
+        assert decisions[-1] and len(decisions) < len(docs) / 2
+        monkeypatch.setattr("stoplab.index._read_as_chunks", lambda tokens, words: False)
+        assert serialized(build_index(docs)) == switched
+
     def test_stoplist_removes_exactly_the_stopword_mass(self):
         rng = random.Random(22)
         for _ in range(20):
@@ -185,22 +204,35 @@ class TestBuildAgainstReference:
     @example(corpus=([], None, True))
     @example(corpus=([("D2", "a b a"), ("D1", "")], Stoplist("all", frozenset("ab")), True))
     def test_build_matches_brute_force_and_round_trips(self, corpus):
-        docs, stoplist, strip_marks = corpus
-        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
-        tokens = [(docno, tokenize(normalize(text, strip_marks))) for docno, text in docs]
-        ref = reference_index(tokens, stoplist.words if stoplist else frozenset())
-        assert idx.docnos == [docno for docno, _ in docs]
-        assert idx.terms == ref["terms"]
-        assert as_lists(idx.postings) == ref["postings"]
-        assert idx.doc_lengths.tolist() == ref["doc_lengths"]
-        assert idx.ctf == ref["ctf"]
-        assert idx.total_tokens == ref["total_tokens"]
-        assert idx.stopwords_removed == ref["stopwords_removed"]
-        # load(save(i)) == i
-        blob = serialized(idx)
-        loaded = Index.load(io.BytesIO(blob))
-        assert serialized(loaded) == blob
-        assert fields(loaded) == fields(idx)
+        assert_matches_reference(*corpus)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(corpus=corpora(), sample=st.integers(0, 12))
+    @example(corpus=([("D1", "a b"), ("D2", "c\u060cc a"), ("D3", ""), ("D4", "b. d")],
+                     Stoplist("c", frozenset("c")), True), sample=0)
+    def test_documents_read_as_chunks_match_brute_force(self, corpus, sample):
+        # every document after the first `sample` tokens is read as chunks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("stoplab.index._read_as_chunks", lambda tokens, words: tokens >= sample)
+            assert_matches_reference(*corpus)
+
+
+def assert_matches_reference(docs, stoplist, strip_marks):
+    idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+    tokens = [(docno, tokenize(normalize(text, strip_marks))) for docno, text in docs]
+    ref = reference_index(tokens, stoplist.words if stoplist else frozenset())
+    assert idx.docnos == [docno for docno, _ in docs]
+    assert idx.terms == ref["terms"]
+    assert as_lists(idx.postings) == ref["postings"]
+    assert idx.doc_lengths.tolist() == ref["doc_lengths"]
+    assert idx.ctf == ref["ctf"]
+    assert idx.total_tokens == ref["total_tokens"]
+    assert idx.stopwords_removed == ref["stopwords_removed"]
+    # load(save(i)) == i
+    blob = serialized(idx)
+    loaded = Index.load(io.BytesIO(blob))
+    assert serialized(loaded) == blob
+    assert fields(loaded) == fields(idx)
 
 
 class TestSerialization:

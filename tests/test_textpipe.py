@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stoplab.textpipe import CHUNK_END, normalize, tokenize, tokenize_chunks
+from stoplab.textpipe import normalize, tokenize, tokenize_chunks
 
 ALEF = "ا"
 ALEF_MADDA = "آ"
@@ -146,8 +146,9 @@ LOCALITY_TEXT = st.text(st.one_of([st.sampled_from(g) for g in LOCALITY_GROUPS])
 def assert_local(text, strip_marks):
     per_chunk = [tokenize(normalize(c, strip_marks)) for c in text.split()]
     assert tokenize(normalize(text, strip_marks)) == [t for ts in per_chunk for t in ts]
-    assert tokenize_chunks(text.split(), strip_marks) == [
-        t for ts in per_chunk for t in [*ts, CHUNK_END]]
+    tokens, ends = tokenize_chunks(text.split(), strip_marks)
+    assert [tokens[a:b] for a, b in zip([0, *ends], ends)] == per_chunk
+    assert len(tokens) == (ends[-1] if ends else 0)
 
 
 class TestChunkLocality:
