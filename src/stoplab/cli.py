@@ -335,9 +335,12 @@ def cmd_index(args) -> int:
 
     def documents():
         for path in _expand_paths(corpus):
+            before = len(sources)
             for doc in parse_trec_documents(read_text(path, "corpus", encoding), path):
                 sources.append(path)
                 yield doc
+            if len(sources) == before:  # empty, or not a corpus at all
+                raise ParseError("%s: no <DOC> blocks" % path)
 
     try:
         index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)

@@ -1,5 +1,12 @@
 """TIPSTER document parsing and immutable inverted index construction.
 
+A TIPSTER stream is a sequence of ``<DOC>`` blocks.  A block ends at the
+first ``</DOC>`` after its ``<DOC>``, and a ``<DOC>`` before that
+``</DOC>`` is an error, as is a block without a ``<DOCNO>``.  A block's
+``<TEXT>`` regions are joined with newlines, and inline tags inside them
+become spaces; the rest of the block is skipped.  The ``index`` command
+also refuses a corpus file that holds no block at all.
+
 The index holds everything the ranking models need: postings with
 within-document term frequencies, per-document lengths, collection term
 frequencies, and the derived statistics N, avgdl and total token count.
@@ -48,43 +55,55 @@ _CHECKSUM = struct.Struct("<I")
 _U32 = np.dtype("<u4")
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
-_TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
 
 
 def parse_trec_documents(text: str, name: str = "corpus") -> Iterator[tuple[str, str]]:
     """Yield (docno, text) for each ``<DOC>`` block, in stream order.
 
-    Each block must contain a ``<DOCNO>`` and may contain any number of
-    ``<TEXT>`` regions, whose contents are concatenated.  Residual inline
-    tags inside TEXT regions (paragraph markers and the like) are dropped.
-    Error messages start with ``name``, the corpus file's path; their
-    offsets are character offsets into the stream.
+    A block runs from ``<DOC>`` to the first ``</DOC>`` after it; a block
+    with no ``</DOC>``, or with another ``<DOC>`` before it, is unterminated.
+    The block's first ``<DOCNO>`` names it, and a block without one is an
+    error.  Its ``<TEXT>`` regions, each closed by the first ``</TEXT>``
+    after it, are joined with newlines, and inline tags inside them
+    (paragraph markers and the like) become spaces; a ``<TEXT>`` left
+    unclosed is an error, and anything outside the regions is skipped.  A
+    stream with no block yields nothing.  Every search is bounded by the
+    current block, so no block is copied and no scan runs past it.  Error
+    messages start with ``name``, the corpus file's path; their offsets are
+    character offsets into the stream.
     """
+    # offsets step over tags: <DOC> is 5 characters, <TEXT> and </DOC> 6,
+    # </TEXT> 7
     pos = 0
     while True:
         start = text.find("<DOC>", pos)
         if start == -1:
             return
         end = text.find("</DOC>", start)
-        if end == -1:
+        if end == -1 or text.find("<DOC>", start + 5, end) != -1:
             raise ParseError("%s: unterminated <DOC> block at offset %d"
                              % (name, start))
-        block = text[start + len("<DOC>") : end]
-        m = _DOCNO_RE.search(block)
+        m = _DOCNO_RE.search(text, start + 5, end)
         if m is None:
             raise ParseError("%s: <DOC> block at offset %d has no <DOCNO>"
                              % (name, start))
         docno = m.group(1).strip()
-        texts = _TEXT_RE.findall(block)
-        if block.count("<TEXT>") != len(texts):
+        texts = []
+        at = text.find("<TEXT>", start + 5, end)
+        while at != -1:
+            close = text.find("</TEXT>", at + 6, end)
+            if close == -1:
+                break
+            texts.append(_TAG_RE.sub(" ", text[at + 6 : close]))
+            at = text.find("<TEXT>", close + 7, end)
+        if text.count("<TEXT>", start + 5, end) != len(texts):
             raise ParseError(
                 "%s: unterminated <TEXT> in document %r (offset %d)"
                 % (name, docno, start)
             )
-        body = "\n".join(_TAG_RE.sub(" ", t) for t in texts)
-        yield docno, body
-        pos = end + len("</DOC>")
+        yield docno, "\n".join(texts)
+        pos = end + 6
 
 
 class Index:
@@ -361,12 +380,16 @@ def build_index(
     n = len(ordinal)
     doc = np.repeat(np.arange(n, dtype=np.uint32), lengths)  # lengths count stopwords
 
-    terms = sorted(ids if stoplist is None else (w for w in ids if w not in stoplist))
+    words = list(ids)  # by id
+    stopwords = frozenset() if stoplist is None else stoplist.words
+    stopped = np.fromiter(map(stopwords.__contains__, words), bool, len(words))
+    term_ids = sorted(np.flatnonzero(~stopped).tolist(), key=words.__getitem__)
+    terms = list(map(words.__getitem__, term_ids))
     if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))
     position = np.full(len(ids), -1, dtype=np.int64)  # token id -> index in terms
-    position[[ids[t] for t in terms]] = np.arange(len(terms))
+    position[term_ids] = np.arange(len(terms))
     removed = len(tokens)
     if len(terms) < len(ids):  # stopwords have no position: one mask drops them
         kept = (position >= 0)[tokens]

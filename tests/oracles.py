@@ -10,7 +10,46 @@ second, structurally different derivation of the same definitions.
 import itertools
 import math
 import random
+import re
 from collections import Counter
+
+from stoplab.errors import ParseError
+
+
+_DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
+_TEXT_RE = re.compile(r"<TEXT>(.*?)</TEXT>", re.S)
+_TAG_RE = re.compile(r"<[^>]*>")
+
+
+def parse_trec_documents(text, name="corpus"):
+    """The TIPSTER parser as a copy of each block and two lazy regexes: a
+    block runs to the first ``</DOC>`` after its ``<DOC>`` (a ``<DOC>``
+    inside it is not checked), and ``<TEXT>(.*?)</TEXT>`` finds its
+    regions.  Same pairs and error messages as the engine otherwise."""
+    pos = 0
+    while True:
+        start = text.find("<DOC>", pos)
+        if start == -1:
+            return
+        end = text.find("</DOC>", start)
+        if end == -1:
+            raise ParseError("%s: unterminated <DOC> block at offset %d"
+                             % (name, start))
+        block = text[start + len("<DOC>") : end]
+        m = _DOCNO_RE.search(block)
+        if m is None:
+            raise ParseError("%s: <DOC> block at offset %d has no <DOCNO>"
+                             % (name, start))
+        docno = m.group(1).strip()
+        texts = _TEXT_RE.findall(block)
+        if block.count("<TEXT>") != len(texts):
+            raise ParseError(
+                "%s: unterminated <TEXT> in document %r (offset %d)"
+                % (name, docno, start)
+            )
+        body = "\n".join(_TAG_RE.sub(" ", t) for t in texts)
+        yield docno, body
+        pos = end + len("</DOC>")
 
 
 def corpus_stats(docs):

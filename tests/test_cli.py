@@ -725,6 +725,18 @@ class TestIndexFiles:
         assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
         assert not (tmp / "t.idx").exists()
 
+    @pytest.mark.parametrize("text", ["", TOY_TOPIC], ids=["empty", "topics"])
+    def test_corpus_file_without_documents_is_refused(self, toy, capsys, text):
+        tmp, corpus, _ = toy
+        bad = tmp / "bad.sgml"
+        bad.write_text(text, encoding="utf-8")
+        before = sorted(tmp.iterdir())
+        rc = main(["index", "--corpus", str(corpus), str(bad),
+                   "--out", str(tmp / "t.idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: no <DOC> blocks\n" % bad
+        assert sorted(tmp.iterdir()) == before
+
     @pytest.mark.parametrize("cut", [0, 10, -8])
     def test_damaged_gzip_corpus_is_named(self, toy, capsys, cut):
         tmp, _, _ = toy

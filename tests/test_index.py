@@ -18,6 +18,7 @@ from stoplab.index import SAMPLE_TOKENS, Index, build_index, parse_trec_document
 from stoplab.stoplists import Stoplist
 from stoplab.textpipe import normalize, tokenize
 
+import oracles
 from oracles import random_corpus, reference_index
 
 TOY_DOCS = [("D1", "a b"), ("D2", "b c"), ("D3", "c c")]
@@ -76,6 +77,47 @@ def corpora(draw):
     return docs, stoplist, strip_marks
 
 
+WORDS = ["قال", "الرئيس", "في", "news", "wire", "42", "a<b", "c>"]
+
+
+@st.composite
+def sgml_streams(draw):
+    """TIPSTER streams of up to four documents, each with a DOCNO, an
+    optional HEADER and one to three TEXT regions of Arabic and Latin words
+    and inline <P> tags, with up to three fragments dropped or doubled, so
+    most streams parse and the rest break a block in each way."""
+    words = st.lists(st.sampled_from(WORDS), max_size=3).map(" ".join)
+    parts = []
+    for n in range(draw(st.integers(0, 4))):
+        parts += ["<DOC>", "\n", "<DOCNO>", " D%d " % n, "</DOCNO>"]
+        if draw(st.booleans()):
+            parts += ["<HEADER>", draw(words), "</HEADER>"]
+        for _ in range(draw(st.integers(1, 3))):
+            parts += ["<TEXT>", draw(words), "<P>", draw(words), "</P>", draw(words),
+                      "</TEXT>"]
+        parts += ["</DOC>", "\n"]
+    if parts:
+        edits = draw(st.lists(st.tuples(st.integers(0, len(parts) - 1),
+                                        st.sampled_from([0, 2])), max_size=3))
+        copies = [1] * len(parts)
+        for i, count in edits:
+            copies[i] = count
+        parts = [part * k for part, k in zip(parts, copies)]
+    return "".join(parts)
+
+
+def parsed(parser, text):
+    """The pairs ``parser`` yields from ``text``, and the message of the
+    ParseError that stopped it, or None."""
+    pairs = []
+    try:
+        for pair in parser(text, "s.sgml"):
+            pairs.append(pair)
+    except ParseError as exc:
+        return pairs, str(exc)
+    return pairs, None
+
+
 class TestParseTrecDocuments:
     def test_minimal_document(self):
         text = "<DOC>\n<DOCNO> D1 </DOCNO>\n<TEXT>\nقال\n</TEXT>\n</DOC>\n"
@@ -117,6 +159,27 @@ class TestParseTrecDocuments:
     def test_unterminated_block(self):
         with pytest.raises(ParseError, match="unterminated"):
             list(parse_trec_documents("<DOC><DOCNO>A</DOCNO><TEXT>x</TEXT>"))
+
+    def test_doc_inside_a_block_is_unterminated(self):
+        # without the check, A's block would run to B's </DOC> and B be lost
+        text = ("<DOC><DOCNO>A</DOCNO><TEXT>x</TEXT>\n"
+                "<DOC><DOCNO>B</DOCNO><TEXT>y</TEXT></DOC>")
+        with pytest.raises(ParseError, match=r"^c\.sgml: unterminated <DOC> block at offset 0$"):
+            list(parse_trec_documents(text, "c.sgml"))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(sgml_streams())
+    def test_matches_regex_oracle(self, text):
+        pairs, error = parsed(parse_trec_documents, text)
+        want, want_error = parsed(oracles.parse_trec_documents, text)
+        if error == want_error:
+            assert pairs == want
+        else:  # only the engine refuses a <DOC> inside a block
+            assert error is not None, want_error
+            start = int(error.rpartition(" ")[2])
+            assert error == "s.sgml: unterminated <DOC> block at offset %d" % start
+            assert text.find("<DOC>", start + 5, text.find("</DOC>", start)) != -1
+            assert want[:len(pairs)] == pairs
 
 
 class TestBuildIndex:
