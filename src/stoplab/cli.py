@@ -27,7 +27,7 @@ import numpy as np
 
 from . import stoplists
 from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
-from .index import DuplicateDocno, Index, build_index, parse_trec_documents
+from .index import BadDocno, DuplicateDocno, Index, build_index, parse_trec_documents
 from .ranking import (
     BM25Params,
     DirichletParams,
@@ -134,7 +134,10 @@ def _resolve_stoplist(selection: str) -> Stoplist:
         return stoplists.bundled(selection)
     _require_paths(selection)
     name = os.path.splitext(os.path.basename(selection))[0]
-    return load_stoplist(selection, name=name, provenance="custom")
+    try:
+        return load_stoplist(selection, name=name, provenance="custom")
+    except ValueError as exc:  # the name, which comes from the file's
+        raise ParseError("%s: %s" % (selection, exc)) from None
 
 
 def write_stoplist(stoplist: Stoplist, path: str) -> None:
@@ -151,6 +154,7 @@ def write_stoplist(stoplist: Stoplist, path: str) -> None:
 # Field bodies run to the next tag; TREC topic fields contain no markup,
 # whether or not the writer closed them with </num>-style tags.
 _TOP_RE = re.compile(r"<top>(.*?)</top>", re.S | re.I)
+_TOP_OPEN_RE = re.compile(r"<top>", re.I)
 _NUM_RE = re.compile(r"<num>\s*(?:Number\s*:)?\s*(.*?)\s*(?=<|$)", re.S | re.I)
 _TITLE_RE = re.compile(r"<title>\s*(?:Topic\s*:)?\s*(.*?)\s*(?=<|$)", re.S | re.I)
 _DESC_RE = re.compile(r"<desc>\s*(?:Description\s*:)?\s*(.*?)\s*(?=<|$)", re.S | re.I)
@@ -160,7 +164,7 @@ def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
     """Parse TREC topics; the query text is title plus description.  Error
     messages start with ``name``, the topics file's path."""
     blocks = _TOP_RE.findall(text)
-    if text.count("<top>") != len(blocks):
+    if len(_TOP_OPEN_RE.findall(text)) != len(blocks):
         raise ParseError("%s: unterminated <top> block" % name)
     topics: dict[str, str] = {}
     for i, block in enumerate(blocks, start=1):
@@ -185,11 +189,17 @@ def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
 
 
 def write_run(run: RankedRun, out) -> None:
-    ranks = range(1, len(run.docnos) + 1)
-    out.write("".join([
-        "%s Q0 %s %d %.6f %s\n" % (run.qid, docno, rank, score, run.tag)
-        for docno, rank, score in zip(run.docnos, ranks, run.scores.tolist())
-    ]))
+    """Write a run's lines, ``qid Q0 docno rank score tag``, with one
+    ``%`` call: the line format repeated once per line, over the columns
+    interleaved into one tuple."""
+    n = len(run.docnos)
+    line = "%s Q0 %%s %%d %%.6f %s\n" % (run.qid.replace("%", "%%"),
+                                         run.tag.replace("%", "%%"))
+    values = [None] * (3 * n)
+    values[0::3] = run.docnos
+    values[1::3] = range(1, n + 1)
+    values[2::3] = run.scores.tolist()
+    out.write(line * n % tuple(values))
 
 
 def read_run_file(source) -> list[RankedRun]:
@@ -347,6 +357,8 @@ def cmd_index(args) -> int:
     except DuplicateDocno as exc:
         raise ParseError("%s: duplicate docno %r (first in %s)" % (
             sources[exc.again], exc.docno, sources[exc.first])) from None
+    except BadDocno as exc:
+        raise ParseError("%s: %s" % (sources[exc.ordinal], exc)) from None
     index.save(out_path)
     print("documents:           %d" % index.N)
     print("tokens:              %d" % index.total_tokens)
@@ -382,6 +394,8 @@ def cmd_search(args) -> int:
     _require_paths(index_path, topics_path)
     index = Index.load(index_path)
     topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
+    if not topics:  # empty, or not a topics file at all
+        raise ParseError("%s: no <top> blocks" % topics_path)
 
     # options the model does not take are ignored; unset ones keep defaults
     param_type = PARAMS[model]

@@ -289,6 +289,16 @@ class Index:
         )
 
 
+class BadDocno(ParseError):
+    """A docno that a run file cannot hold, empty or with whitespace in it,
+    given to :func:`build_index`, with the document's ordinal."""
+
+    def __init__(self, docno: str, ordinal: int):
+        what = "empty docno" if not docno else "docno %r contains whitespace" % docno
+        super().__init__(what)
+        self.docno, self.ordinal = docno, ordinal
+
+
 class DuplicateDocno(ParseError):
     """A docno given twice to :func:`build_index`, with the ordinals of both
     documents, so a caller that knows their sources can name them."""
@@ -323,6 +333,10 @@ def build_index(
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
 
+    A docno that is empty or holds whitespace raises :class:`BadDocno`, and
+    one given twice :class:`DuplicateDocno`, since a run file could not
+    hold them.
+
     Documents are read one at a time, in input order.  The first ones are
     normalized and tokenized in place, into one stream of token ids (an id
     is the order of first appearance).  Once words repeat enough (see
@@ -347,6 +361,8 @@ def build_index(
     chunked = False
     ordinal: dict[str, int] = {}
     for docno, text in docs:
+        if docno.split() != [docno]:  # a run file splits its lines at whitespace
+            raise BadDocno(docno, len(ordinal))
         if docno in ordinal:
             raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
         ordinal[docno] = len(ordinal)

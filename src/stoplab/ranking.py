@@ -33,13 +33,31 @@ form:
     tf = 0).  Query terms absent from the collection are dropped with a
     warning, since p(t|C) = 0 has no likelihood reading.
 
-The models share one scoring core, which adds each model's per-posting
-weight into document scores in sorted-term order and then ranks; KL also
-starts every document at its length term.  BM25 and TF*IDF rank only the
-documents containing a query term.  A run is two columns, docnos and
-scores, ordered by descending score with ties broken by docno ascending;
-a document's rank is its position plus one.  Identical inputs always
-produce identical runs.
+Each model's weight for a query term splits into a document part, a
+float64 array over the term's postings that depends on the term, its tf
+and dl values and the model's parameters, and a query part, a float that
+depends on the term and its qtf; their product is the weight, bit for bit
+the expression above:
+
+    BM25:    (idf * doc tf saturation) * query tf saturation
+    TF*IDF:  (bm25tf(tf, dl) * idf) * (qtf * idf)
+    KL:      ln(1 + tf / (mu * p(t|C))) * qtf
+
+The models share one scoring core, which adds each query term's weight
+into document scores in sorted-term order and then ranks; KL also starts
+every document at its length term, |q| times ln(mu / (mu + dl)).  BM25
+and TF*IDF rank only the documents containing a query term.
+
+A search weighs each term's postings once.  The core keeps a memo on the
+index of each term's document part, keyed by model name and parameters;
+KL keeps its ln(mu / (mu + dl)) array there too.  The memo holds one key
+at a time, so it grows to at most one float64 per posting of the terms
+queried since the key last changed (plus one per document for KL), and
+it is freed with the index.
+
+A run is two columns, docnos and scores, ordered by descending score with
+ties broken by docno ascending; a document's rank is its position plus
+one.  Identical inputs always produce identical runs.
 """
 
 import logging
@@ -152,16 +170,38 @@ def _per_distinct(f, values: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
-def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
-          prior: np.ndarray | None = None) -> RankedRun:
+def _doc_parts(index: Index, key: tuple) -> dict:
+    """The memo of document parts on ``index`` for ``key``, (model name,
+    params): term -> read-only float64 array over the term's postings.  A
+    new key replaces the memo of the old one."""
+    memo = getattr(index, "_doc_parts", None)
+    if memo is None or memo[0] != key:
+        memo = index._doc_parts = (key, {})
+    return memo[1]
+
+
+def _memoized(parts: dict, name, compute) -> np.ndarray:
+    """``parts[name]``, computed and made read-only on first use."""
+    part = parts.get(name)
+    if part is None:
+        part = parts[name] = compute()
+        part.flags.writeable = False
+    return part
+
+
+def _rank(index: Index, query: Query, key: tuple, doc_weight, query_weight,
+          top_k: int, tag: str, prior: np.ndarray | None = None) -> RankedRun:
     """The scoring core: for each query term the index holds, in sorted
-    order (so scores are bit-stable), add ``weight(term, qtf, tf, dl)`` to
-    the scores of its postings' documents.  Scores start at zero, and the
-    candidates are the matched documents; or, given a ``prior``, at the
-    prior, and every document is a candidate.  No match, an empty run.
+    order (so scores are bit-stable), add ``doc_weight(term, tf, dl)``
+    times ``query_weight(term, qtf)`` to the scores of its postings'
+    documents; the document part comes from the memo for ``key`` when the
+    term was weighed before.  Scores start at zero, and the candidates are
+    the matched documents; or, given a ``prior``, at the prior, and every
+    document is a candidate.  No match, an empty run.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
+    parts = _doc_parts(index, key)
     scores = np.zeros(index.N) if prior is None else prior
     matched = np.zeros(index.N, dtype=bool)
     for term in sorted(query.terms):
@@ -169,9 +209,9 @@ def _rank(index: Index, query: Query, weight, top_k: int, tag: str,
         if plist is None:
             continue
         ordinals = plist[:, 0]
-        scores[ordinals] += weight(
-            term, query.terms[term], plist[:, 1], index.doc_lengths[ordinals]
-        )
+        part = _memoized(parts, term, lambda: doc_weight(
+            term, plist[:, 1], index.doc_lengths[ordinals]))
+        scores[ordinals] += part * query_weight(term, query.terms[term])
         matched[ordinals] = True
     if not matched.any():
         return RankedRun(query.qid, [], np.zeros(0), tag)
@@ -199,14 +239,16 @@ def score_bm25(
     n, avgdl = index.N, index.avgdl
     k1, b, k3 = params.k1, params.b, params.k3
 
-    def weight(term, qtf, tf, dl):
+    def doc_weight(term, tf, dl):
         df = index.df(term)
         idf = math.log((n - df + 0.5) / (df + 0.5))
-        qpart = (k3 + 1.0) * qtf / (k3 + qtf)
         big_k = k1 * ((1.0 - b) + b * dl / avgdl)
-        return idf * ((k1 + 1.0) * tf / (big_k + tf)) * qpart
+        return idf * ((k1 + 1.0) * tf / (big_k + tf))
 
-    return _rank(index, query, weight, top_k, tag)
+    def query_weight(term, qtf):
+        return (k3 + 1.0) * qtf / (k3 + qtf)
+
+    return _rank(index, query, ("BM25", params), doc_weight, query_weight, top_k, tag)
 
 
 def score_tfidf(
@@ -221,13 +263,14 @@ def score_tfidf(
     n, avgdl = index.N, index.avgdl
     k1, b = params.k1, params.b
 
-    def weight(term, qtf, tf, dl):
-        idf = math.log(n / index.df(term))
-        qweight = qtf * idf
+    def doc_weight(term, tf, dl):
         denom = tf + k1 * ((1.0 - b) + b * dl / avgdl)
-        return (k1 * tf / denom) * idf * qweight
+        return (k1 * tf / denom) * math.log(n / index.df(term))
 
-    return _rank(index, query, weight, top_k, tag)
+    def query_weight(term, qtf):
+        return qtf * math.log(n / index.df(term))
+
+    return _rank(index, query, ("TFIDF", params), doc_weight, query_weight, top_k, tag)
 
 
 def score_kl_dirichlet(
@@ -252,12 +295,19 @@ def score_kl_dirichlet(
                 "query %s: term %r absent from collection, dropped", query.qid, term
             )
 
-    def weight(term, qtf, tf, dl):
+    def doc_weight(term, tf, dl):
         p_coll = index.ctf[term] / index.total_tokens
-        return qtf * _per_distinct(lambda t: math.log(1.0 + t / (mu * p_coll)), tf)
+        return _per_distinct(lambda t: math.log(1.0 + t / (mu * p_coll)), tf)
 
-    prior = qlen * _per_distinct(lambda dl: math.log(mu / (mu + dl)), index.doc_lengths)
-    return _rank(index, query, weight, top_k, tag, prior)
+    def query_weight(term, qtf):
+        return float(qtf)
+
+    key = ("KL", params)
+    # the length prior sits in the memo beside the terms, under None
+    length_part = _memoized(_doc_parts(index, key), None, lambda: _per_distinct(
+        lambda dl: math.log(mu / (mu + dl)), index.doc_lengths))
+    return _rank(index, query, key, doc_weight, query_weight, top_k, tag,
+                 qlen * length_part)
 
 
 SCORERS = {

@@ -38,6 +38,9 @@ class Stoplist:
     def __post_init__(self):
         if self.provenance not in PROVENANCES:
             raise ValueError("unknown provenance %r" % (self.provenance,))
+        if self.name.split() != [self.name]:  # it ends each run line's tag
+            raise ValueError("stoplist name %r is not one word without whitespace"
+                             % (self.name,))
 
     def __len__(self) -> int:
         return len(self.words)

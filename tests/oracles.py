@@ -172,6 +172,16 @@ def ranking_of(scores):
     return [d for d, _ in sorted(scores.items(), key=lambda it: (-it[1], it[0]))]
 
 
+def write_run(run, out):
+    """The run writer as one ``%`` call per line, with the qid and the tag
+    passed as values: ``qid Q0 docno rank score tag``."""
+    ranks = range(1, len(run.docnos) + 1)
+    out.write("".join([
+        "%s Q0 %s %d %.6f %s\n" % (run.qid, docno, rank, score, run.tag)
+        for docno, rank, score in zip(run.docnos, ranks, run.scores.tolist())
+    ]))
+
+
 def random_corpus(rng: random.Random, max_docs=200, max_vocab=50):
     vocab = ["w%02d" % i for i in range(rng.randint(2, max_vocab))]
     n = rng.randint(1, max_docs)

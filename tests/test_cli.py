@@ -15,6 +15,7 @@ from stoplab.index import Index
 from stoplab.ranking import RankedRun
 from stoplab.treceval import evaluate_run, parse_qrels
 
+import oracles
 from test_index import _damage_cases
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -140,6 +141,20 @@ class TestIndexCommand:
         assert capsys.readouterr().err == message.format(*paths) + "\n"
         assert sorted(tmp_path.iterdir()) == paths  # no index, no temp file
 
+    @pytest.mark.parametrize("docno, message", [
+        ("A 1", "docno 'A 1' contains whitespace"), ("", "empty docno"),
+    ], ids=["whitespace", "empty"])
+    def test_docno_a_run_file_cannot_hold_names_the_file(self, tmp_path, capsys,
+                                                          docno, message):
+        paths = [tmp_path / "a.sgml", tmp_path / "b.sgml"]
+        paths[0].write_text(TOY_SGML, encoding="utf-8")
+        paths[1].write_text("<DOC><DOCNO>%s</DOCNO><TEXT>z</TEXT></DOC>\n" % docno,
+                            encoding="utf-8")
+        rc = main(["index", "--corpus", *map(str, paths), "--out", str(tmp_path / "t.idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: %s\n" % (paths[1], message)
+        assert sorted(tmp_path.iterdir()) == paths  # no index, no temp file
+
     def test_config_file_with_flag_override(self, toy, capsys):
         tmp, corpus, _ = toy
         cfg = tmp / "exp.cfg"
@@ -243,6 +258,25 @@ class TestSearchCommand:
 
 
 class TestTopicsParsing:
+    def test_upper_case_tags_parse(self):
+        text = "<TOP>\n<NUM> Number: 4\n<TITLE> x\n<DESC> Description: y\n</TOP>\n"
+        assert parse_topics(text) == [("4", "x y")]
+        with pytest.raises(ParseError, match="^topics: unterminated <top> block$"):
+            parse_topics(text + "<TOP>\n<NUM> 5\n")
+
+    @pytest.mark.parametrize("text", ["", "1 0 D1 1\n"], ids=["empty", "qrels"])
+    def test_file_without_topics_refused_by_search(self, toy, capsys, text):
+        tmp, corpus, topics = toy
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx")]) == 0
+        topics.write_text(text, encoding="utf-8")
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main(["search", "--index", str(tmp / "t.idx"), "--topics", str(topics),
+                   "--out", str(tmp / "r.run")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: no <top> blocks\n" % topics
+        assert sorted(tmp.iterdir()) == before  # no run file, no temp file
+
     def test_title_and_desc_concatenated(self):
         topics = parse_topics(
             "<top><num>Number: 7</num><title>alpha beta</title>"
@@ -440,6 +474,35 @@ class TestRunFileRoundTrip:
             [by_rank] if lines else [])
 
 
+# '%' and '(' in qids, docnos and tags would break an unescaped format
+format_words = st.text(st.sampled_from("%sdf(.)1ق"), min_size=1, max_size=6)
+format_scores = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e300, -1e300, 5e-324, -5e-324, 5e-7, -5e-7]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def runs_to_write(draw):
+    """A run of 0, 1 or 1000 lines, its docnos and scores cycled from short
+    drawn lists, so long runs stay cheap to draw."""
+    n = draw(st.sampled_from([0, 1, 1000]))
+    docnos = draw(st.lists(format_words, min_size=1, max_size=5))
+    scores = draw(st.lists(format_scores, min_size=1, max_size=5))
+    return RankedRun(draw(format_words), [docnos[i % len(docnos)] for i in range(n)],
+                     np.array([scores[i % len(scores)] for i in range(n)]),
+                     draw(format_words))
+
+
+class TestWriteRun:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(runs=st.lists(runs_to_write(), max_size=3))
+    def test_bytes_match_per_line_oracle(self, runs):
+        expected = io.StringIO()
+        for run in runs:
+            oracles.write_run(run, expected)
+        assert run_text(runs) == expected.getvalue()
+
+
 class TestCompareCommand:
     def make_report(self, tmp_path, tag, aps, qrels_text, capsys):
         """Build a report TSV from a synthetic run with the given APs."""
@@ -586,6 +649,27 @@ class TestStoplistCommand:
             if l and not l.startswith("#")
         ]
         assert len(words) == 1093
+
+    @pytest.mark.parametrize("argv, source", [
+        (["index", "--corpus", "{corpus}", "--stoplist", "{tmp}/my list.txt",
+          "--out", "{tmp}/out"], "{tmp}/my list.txt: "),
+        (["stoplist", "build", "--index", "{tmp}/t.idx", "--cutoff", "0", "--name", "x y",
+          "--out", "{tmp}/out"], ""),
+        (["stoplist", "combine", "--a", "GS", "--b", "{tmp}/my list.txt", "--out", "{tmp}/out"],
+         "{tmp}/my list.txt: "),
+    ], ids=["index", "build", "combine"])
+    def test_name_with_whitespace_refused(self, toy, capsys, argv, source):
+        tmp, corpus, _ = toy
+        (tmp / "my list.txt").write_text("a\n", encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx")]) == 0
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main([a.format(corpus=corpus, tmp=tmp) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: %sstoplist name " % source.format(tmp=tmp))
+        assert err.count("\n") == 1
+        assert sorted(tmp.iterdir()) == before  # no output, no temp file
 
     def test_build_from_index(self, toy, tmp_path, capsys):
         tmp, corpus, _ = toy

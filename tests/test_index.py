@@ -2,6 +2,7 @@ import errno
 import gzip
 import io
 import random
+import re
 import struct
 import zlib
 from pathlib import Path
@@ -209,6 +210,17 @@ class TestBuildIndex:
     def test_duplicate_docno_rejected(self):
         with pytest.raises(ParseError, match="D1"):
             build_index([("D1", "a"), ("D1", "b")])
+
+    @pytest.mark.parametrize("docno, message", [
+        ("", "empty docno"), ("A 1", "docno 'A 1' contains whitespace"),
+        ("A\t1", "docno 'A\\t1' contains whitespace"), (" A", "docno ' A' contains whitespace"),
+        ("A\u2028", "docno %r contains whitespace" % "A\u2028"),
+    ])
+    def test_docno_a_run_file_cannot_hold_rejected(self, docno, message):
+        match = "^%s$" % re.escape(message)
+        with pytest.raises(stoplab.index.BadDocno, match=match) as info:
+            build_index([("D1", "a"), (docno, "b")])
+        assert info.value.ordinal == 1
 
     def test_empty_documents_kept(self):
         idx = build_index([("D1", ""), ("D2", "a")])

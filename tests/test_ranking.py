@@ -262,6 +262,40 @@ class TestScorersAgainstOracles:
                 assert len(run.docnos) == min(idx.N, top_k)
 
 
+@st.composite
+def search_sequences(draw):
+    """(docs, stoplist, strip_marks, [(model, params, query text, top_k)]):
+    one or two parameter sets per model, so a sequence both repeats and
+    switches (model, params), and queries over one small word pool, so
+    their terms recur."""
+    docs, stoplist, strip_marks = draw(corpora())
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    pools = [draw(st.lists(params, min_size=1, max_size=2)) for _, params, _ in MODELS]
+    steps = []
+    for _ in range(draw(st.integers(1, 8))):
+        model = draw(st.integers(0, len(MODELS) - 1))
+        params = draw(st.sampled_from(pools[model]))
+        text = " ".join(draw(st.lists(st.sampled_from(words + ABSENT), max_size=4)))
+        steps.append((model, params, text, draw(st.integers(1, len(docs) + 2))))
+    return docs, stoplist, strip_marks, steps
+
+
+class TestMemo:
+    """The memo of document parts on an index never changes a run."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(sequence=search_sequences())
+    def test_shared_index_scores_as_a_fresh_one(self, sequence):
+        docs, stoplist, strip_marks, steps = sequence
+        shared = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        for model, params, text, top_k in steps:
+            scorer = MODELS[model][0]
+            query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+            fresh = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+            assert (scorer(shared, query, params, top_k=top_k)
+                    == scorer(fresh, query, params, top_k=top_k))
+
+
 class TestRankingProperties:
     def test_single_term_ranking_invariant_under_qtf(self):
         rng = random.Random(33)

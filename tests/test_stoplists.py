@@ -24,6 +24,21 @@ CURATED_OVERLAP = 82
 CURATED_UNION = 1093
 
 
+class TestName:
+    @pytest.mark.parametrize("name", ["", "my list", " GS", "GS\n", "a\tb"])
+    def test_name_must_be_one_word(self, name):
+        with pytest.raises(ValueError, match="^stoplist name .* is not one word"):
+            Stoplist(name, frozenset())
+
+    def test_every_constructor_checks_the_name(self):
+        with pytest.raises(ValueError):
+            load_stoplist(io.StringIO("في\n"), name="x y")
+        with pytest.raises(ValueError):
+            build_corpus_stoplist({"a": 3}, 1, name="x y")
+        with pytest.raises(ValueError):
+            combine(general(), corpus_based(), name="x y")
+
+
 class TestLoad:
     def test_one_word_per_line(self):
         sl = load_stoplist(io.StringIO("في\nمن\n"), name="t")
