@@ -29,6 +29,7 @@ from . import stoplists
 from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
 from .index import BadDocno, DuplicateDocno, Index, build_index, parse_trec_documents
 from .ranking import (
+    DEFAULT_TOP_K,
     BM25Params,
     DirichletParams,
     Query,
@@ -112,9 +113,12 @@ def _expand_paths(paths: list[str]) -> list[str]:
     out: list[str] = []
     for p in paths:
         if os.path.isdir(p):
+            before = len(out)
             for root, dirs, files in os.walk(p):
                 dirs.sort()
                 out.extend(os.path.join(root, name) for name in sorted(files))
+            if len(out) == before:
+                raise ParseError("%s: no corpus files" % p)
         else:
             out.append(p)
     return out
@@ -339,12 +343,13 @@ def cmd_index(args) -> int:
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
     _require_paths(*corpus)
+    paths = _expand_paths(corpus)
     stoplist = None if selection == "none" else _resolve_stoplist(selection)
 
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():
-        for path in _expand_paths(corpus):
+        for path in paths:
             before = len(sources)
             for doc in parse_trec_documents(read_text(path, "corpus", encoding), path):
                 sources.append(path)
@@ -388,7 +393,7 @@ def cmd_search(args) -> int:
     if not index_path or not topics_path:
         raise UsageError("search needs --index and --topics")
     model = _merged(args, "model", _check_model, "TFIDF")
-    top_k = _merged(args, "top_k", int, 1000)
+    top_k = _merged(args, "top_k", int, DEFAULT_TOP_K)
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
 
     _require_paths(index_path, topics_path)
@@ -435,6 +440,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if len(args.reports) < 2:
+        raise UsageError("compare needs at least two reports")
     tables = [read_report_tsv(path) for path in args.reports]
     tags = [tag for tag, _ in tables]
     first: dict[str, str] = {}  # tag -> the first report that has it
@@ -451,8 +458,9 @@ def cmd_compare(args) -> int:
                 "%s: report %s covers a different qid set (missing %s, extra %s)"
                 % (path, tag, missing or "-", extra or "-")
             )
-    if not reference:
-        raise ParseError("reports contain no queries")
+    if len(reference) < 2:
+        raise ParseError("compare needs at least 2 queries; the reports share %d"
+                         % len(reference))
     qids = sorted(reference)
     matrix = [[rows[q]["ap"] for _, rows in tables] for q in qids]
 

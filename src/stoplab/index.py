@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ParseError, atomic_write, source_name
 from .stoplists import Stoplist
-from .textpipe import normalize, tokenize, tokenize_chunks
+from .textpipe import tokenize_chunks
 
 MAGIC = b"ARIDX002"
 _HEADER = struct.Struct("<8s4Q")
@@ -308,23 +308,6 @@ class DuplicateDocno(ParseError):
         self.docno, self.first, self.again = docno, first, again
 
 
-# Tokenizing each distinct whitespace chunk once pays only where chunks
-# repeat.  On corpora of 350,000 chunks it was faster than tokenizing each
-# document in place with up to a sixth of the chunks distinct (0.65x at a
-# tenth), even from a quarter to a third, and slower above (1.2x at a half,
-# 1.4x with every chunk distinct).  A chunk holds a word or more, with any
-# punctuation attached, so chunks are more often distinct than words.  So a
-# build tokenizes documents in place until it has read this many tokens and
-# at most a quarter of them are distinct words, and reads the rest as chunks.
-SAMPLE_TOKENS = 1 << 14
-
-
-def _read_as_chunks(tokens: int, words: int) -> bool:
-    """Whether to read the remaining documents as chunks, after ``tokens``
-    tokens holding ``words`` distinct words were tokenized in place."""
-    return tokens >= SAMPLE_TOKENS and 4 * words <= tokens
-
-
 def build_index(
     docs: Iterable[tuple[str, str]],
     stoplist: Stoplist | None = None,
@@ -337,28 +320,21 @@ def build_index(
     one given twice :class:`DuplicateDocno`, since a run file could not
     hold them.
 
-    Documents are read one at a time, in input order.  The first ones are
-    normalized and tokenized in place, into one stream of token ids (an id
-    is the order of first appearance).  Once words repeat enough (see
-    :func:`_read_as_chunks`), the rest are split at whitespace instead, into
-    one stream of chunk ids, and the distinct chunks are normalized and
-    tokenized in one batch, which by chunk locality (see
-    :mod:`stoplab.textpipe`) gives every chunk's tokens.  Repeating each
-    chunk's tokens along the chunk stream extends the token stream.  Then
-    one mask over the ids drops the stopwords, and one in-place sort of a
-    key per kept token, sorted-term position * N + doc ordinal, puts the
-    tokens in postings order: each run of equal keys is one posting, and
-    its length is the tf.  ``workers`` is accepted for compatibility and
-    has no effect: the build is serial, since tokenization holds the GIL
-    and threads only slowed it down.
+    Documents are read one at a time, in input order, and split at
+    whitespace into one stream of chunk ids.  The distinct chunks are
+    normalized and tokenized in one batch, which by chunk locality (see
+    :mod:`stoplab.textpipe`) gives every chunk's tokens, and each token
+    maps to its position in the sorted terms, or -1 for a stopword.
+    Repeated along the chunk stream, these give one position per token;
+    one mask drops the stopwords, and one in-place sort of a key per kept
+    token, position * N + doc ordinal, puts the tokens in postings order:
+    each run of equal keys is one posting, and its length is the tf.
+    ``workers`` has no effect: the build is serial, since tokenization
+    holds the GIL and threads only slowed it down.
     """
-    ids: defaultdict[str, int] = defaultdict()
-    ids.default_factory = ids.__len__  # a new word gets the next id
     chunk_table: defaultdict[str, int] = defaultdict()
-    chunk_table.default_factory = chunk_table.__len__
-    token_ids, token_counts = array("I"), array("I")  # documents tokenized in place
-    chunk_ids, chunk_counts = array("I"), array("I")  # then those read as chunks
-    chunked = False
+    chunk_table.default_factory = chunk_table.__len__  # a new chunk gets the next id
+    chunk_ids, chunk_counts = array("I"), array("I")
     ordinal: dict[str, int] = {}
     for docno, text in docs:
         if docno.split() != [docno]:  # a run file splits its lines at whitespace
@@ -366,56 +342,42 @@ def build_index(
         if docno in ordinal:
             raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
         ordinal[docno] = len(ordinal)
-        if chunked:
-            chunks = text.split()
-            chunk_counts.append(len(chunks))
-            chunk_ids.extend(map(chunk_table.__getitem__, chunks))
-        else:
-            tokens = tokenize(normalize(text, strip_marks=strip_marks))
-            token_counts.append(len(tokens))
-            token_ids.extend(map(ids.__getitem__, tokens))
-            chunked = _read_as_chunks(len(token_ids), len(ids))
+        chunks = text.split()
+        chunk_counts.append(len(chunks))
+        chunk_ids.extend(map(chunk_table.__getitem__, chunks))
+    n = len(ordinal)
 
     batch, ends = tokenize_chunks(list(chunk_table), strip_marks)
-    chunk_tokens = np.frombuffer(array("I", map(ids.__getitem__, batch)), dtype=np.uint32)
-    del batch, chunk_table
+    position = dict.fromkeys(batch, -1)  # token -> its index in terms, -1 for a stopword
+    terms = sorted(position.keys() - (stoplist.words if stoplist else frozenset()))
+    if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
+        raise ParseError("%d terms x %d documents overflow the sort keys"
+                         % (len(terms), n))
+    position.update(zip(terms, range(len(terms))))
+    chunk_positions = np.fromiter(map(position.__getitem__, batch), np.int32, len(batch))
+    del batch, chunk_table, position  # freed early, to keep the peak low
     chunk = np.frombuffer(chunk_ids, dtype=np.uint32)
     ends = np.array(ends, dtype=np.int64)
     repeats = np.diff(ends, prepend=0)[chunk]  # tokens per chunk occurrence
     through = np.zeros(len(chunk) + 1, dtype=np.int64)  # tokens before each occurrence
     np.cumsum(repeats, out=through[1:])
-    # occurrence i, of chunk c, puts chunk_tokens[ends[c] - repeats[i]:ends[c]]
-    # at through[i]:through[i + 1] of its part of the token stream
+    # occurrence i, of chunk c, puts chunk_positions[ends[c] - repeats[i]:ends[c]]
+    # at through[i]:through[i + 1] of the token stream
     where = np.repeat(ends[chunk] - through[1:], repeats)
     where += np.arange(len(where))
-    tokens = np.empty(len(token_ids) + len(where), dtype=np.uint32)
-    tokens[:len(token_ids)] = token_ids
-    np.take(chunk_tokens, where, out=tokens[len(token_ids):])
-    lengths = np.concatenate((token_counts, np.diff(through[np.cumsum(chunk_counts)], prepend=0)))
-    del chunk, chunk_ids, chunk_tokens, token_ids, repeats, through, where
-    n = len(ordinal)
-    doc = np.repeat(np.arange(n, dtype=np.uint32), lengths)  # lengths count stopwords
-
-    words = list(ids)  # by id
-    stopwords = frozenset() if stoplist is None else stoplist.words
-    stopped = np.fromiter(map(stopwords.__contains__, words), bool, len(words))
-    term_ids = sorted(np.flatnonzero(~stopped).tolist(), key=words.__getitem__)
-    terms = list(map(words.__getitem__, term_ids))
-    if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
-        raise ParseError("%d terms x %d documents overflow the sort keys"
-                         % (len(terms), n))
-    position = np.full(len(ids), -1, dtype=np.int64)  # token id -> index in terms
-    position[term_ids] = np.arange(len(terms))
-    removed = len(tokens)
-    if len(terms) < len(ids):  # stopwords have no position: one mask drops them
-        kept = (position >= 0)[tokens]
-        tokens, doc = tokens[kept], doc[kept]
-    removed -= len(tokens)
+    high = chunk_positions[where]  # each token's position: its key's high part
+    lengths = np.diff(through[np.cumsum(chunk_counts)], prepend=0)  # stopwords included
+    del chunk, chunk_ids, chunk_positions, repeats, through, where
+    doc = np.repeat(np.arange(n, dtype=np.uint32), lengths)
+    if stoplist:  # one mask drops the stopwords
+        kept = high >= 0
+        high, doc = high[kept], doc[kept]
+    removed = int(lengths.sum()) - len(high)
     doc_lengths = np.bincount(doc, minlength=n).astype(np.uint32)
-    keys = position[tokens]
+    keys = high.astype(np.int64)
     keys *= n
     keys += doc
-    del tokens, doc  # freed before the postings arrays, to keep the peak low
+    del high, doc  # freed before the postings arrays, to keep the peak low
     keys.sort()
     # a posting starts at the first key and wherever the key changes
     starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))

@@ -27,8 +27,7 @@ text does, so for any ``s``::
     tokenize(normalize(s)) == [t for c in s.split() for t in tokenize(normalize(c))]
 
 So text whose chunks repeat can be tokenized once per distinct chunk, all
-of them in one batch (:func:`tokenize_chunks`), as an index build does
-once its words repeat.
+of them in one batch (:func:`tokenize_chunks`), as an index build does.
 
 All functions are pure; they are safe to call concurrently.
 """

@@ -577,6 +577,20 @@ class TestCompareCommand:
         b = self.make_report(tmp_path, "BM25", {"1": 2, "2": 1}, qrels, capsys)
         assert main(["compare", str(a), str(b)]) == 1
 
+    def test_single_report_is_usage_error(self, tmp_path, capsys):
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2},
+                             self.qrels_text(["1", "2"]), capsys)
+        assert main(["compare", str(a)]) == 1
+        assert capsys.readouterr().err == "error: compare needs at least two reports\n"
+
+    def test_one_shared_query_is_refused(self, tmp_path, capsys):
+        qrels = self.qrels_text(["1"])
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1}, qrels, capsys)
+        b = self.make_report(tmp_path, "BM25", {"1": 2}, qrels, capsys)
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == (
+            "error: compare needs at least 2 queries; the reports share 1\n")
+
     def test_mismatched_qid_sets_rejected(self, tmp_path, capsys):
         a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2},
                              self.qrels_text(["1", "2"]), capsys)
@@ -820,6 +834,17 @@ class TestIndexFiles:
         assert rc == 2
         assert capsys.readouterr().err == "error: %s: no <DOC> blocks\n" % bad
         assert sorted(tmp.iterdir()) == before
+
+    def test_corpus_directory_without_files_is_refused(self, toy, capsys):
+        tmp, corpus, _ = toy
+        empty = tmp / "empty"
+        (empty / "sub").mkdir(parents=True)
+        before = sorted(tmp.rglob("*"))
+        rc = main(["index", "--corpus", str(corpus), str(empty),
+                   "--out", str(tmp / "t.idx")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: %s: no corpus files\n" % empty
+        assert sorted(tmp.rglob("*")) == before
 
     @pytest.mark.parametrize("cut", [0, 10, -8])
     def test_damaged_gzip_corpus_is_named(self, toy, capsys, cut):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from stoplab.cli import main
 from stoplab.errors import ParseError
 import stoplab.index
-from stoplab.index import SAMPLE_TOKENS, Index, build_index, parse_trec_documents
+from stoplab.index import Index, build_index, parse_trec_documents
 from stoplab.stoplists import Stoplist
 from stoplab.textpipe import normalize, tokenize
 
@@ -242,24 +242,6 @@ class TestBuildIndex:
                 assert len(plist) <= idx.N
                 assert len(plist) <= idx.ctf[term]
 
-    def test_read_as_chunks_once_words_repeat(self):
-        read_as_chunks = stoplab.index._read_as_chunks
-        assert not read_as_chunks(SAMPLE_TOKENS - 4, 1)
-        assert read_as_chunks(SAMPLE_TOKENS, SAMPLE_TOKENS // 4)
-        assert not read_as_chunks(SAMPLE_TOKENS, SAMPLE_TOKENS // 4 + 1)
-
-    def test_repetitive_corpus_switches_to_chunks_with_equal_bytes(self, monkeypatch):
-        rng = random.Random(23)
-        pool = ["كتاب%d" % i for i in range(300)] + ["قال،", "من."]
-        docs = [("D%d" % i, " ".join(rng.choice(pool) for _ in range(80))) for i in range(400)]
-        real, decisions = stoplab.index._read_as_chunks, []
-        monkeypatch.setattr("stoplab.index._read_as_chunks",
-                            lambda tokens, words: decisions.append(real(tokens, words)) or decisions[-1])
-        switched = serialized(build_index(docs))
-        assert decisions[-1] and len(decisions) < len(docs) / 2
-        monkeypatch.setattr("stoplab.index._read_as_chunks", lambda tokens, words: False)
-        assert serialized(build_index(docs)) == switched
-
     def test_stoplist_removes_exactly_the_stopword_mass(self):
         rng = random.Random(22)
         for _ in range(20):
@@ -282,14 +264,14 @@ class TestBuildAgainstReference:
         assert_matches_reference(*corpus)
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(corpus=corpora(), sample=st.integers(0, 12))
+    @given(corpus=corpora(), copies=st.integers(1, 3))
     @example(corpus=([("D1", "a b"), ("D2", "c\u060cc a"), ("D3", ""), ("D4", "b. d")],
-                     Stoplist("c", frozenset("c")), True), sample=0)
-    def test_documents_read_as_chunks_match_brute_force(self, corpus, sample):
-        # every document after the first `sample` tokens is read as chunks
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("stoplab.index._read_as_chunks", lambda tokens, words: tokens >= sample)
-            assert_matches_reference(*corpus)
+                     Stoplist("c", frozenset("c")), True), copies=1)
+    def test_documents_read_as_chunks_match_brute_force(self, corpus, copies):
+        # every chunk recurs in `copies` documents, and is tokenized once for all
+        docs, stoplist, strip_marks = corpus
+        docs = [("%s.%d" % (docno, k), text) for k in range(copies) for docno, text in docs]
+        assert_matches_reference(docs, stoplist, strip_marks)
 
 
 def assert_matches_reference(docs, stoplist, strip_marks):
