@@ -40,7 +40,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, filterfalse, repeat
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +111,7 @@ class Index:
 
     Attributes:
         docnos: document identifier per ordinal.
+        docno_array: ``docnos`` as an object array, derived on first use.
         doc_lengths: uint32 token count per ordinal (post-normalization and
             stoplist).
         terms: the vocabulary in sorted order.
@@ -118,7 +119,8 @@ class Index:
         pairs: uint32 array of ``(ordinal, tf)`` rows, one per posting,
             grouped by term in ``terms`` order, ordinals ascending.
         postings: term -> its rows of ``pairs`` (a view of length df).
-        ctf: term -> collection frequency.
+        ctf: term -> collection frequency, derived on first use (only KL
+            and ``stoplist build`` read it).
         total_tokens: sum of all document lengths.
         stoplist: the list applied at build time, or None.
         strip_marks: whether diacritics/tatweel were stripped.
@@ -141,7 +143,6 @@ class Index:
         if len(doc_freqs) != len(terms) or (ends[-1] if len(ends) else 0) != len(pairs):
             raise ValueError("postings table size mismatch")
         starts = ends - doc_freqs
-        mass = np.concatenate(([0], np.cumsum(pairs[:, 1], dtype=np.uint64)))
         self.docnos = docnos
         self.doc_lengths = doc_lengths
         self.terms = terms
@@ -150,7 +151,6 @@ class Index:
         self.postings = {
             term: pairs[a:b] for term, a, b in zip(terms, starts.tolist(), ends.tolist())
         }
-        self.ctf = dict(zip(terms, (mass[ends] - mass[starts]).tolist()))
         self.total_tokens = total_tokens
         self.stoplist = stoplist
         self.strip_marks = strip_marks
@@ -167,6 +167,20 @@ class Index:
     @property
     def vocabulary_size(self) -> int:
         return len(self.postings)
+
+    @cached_property
+    def ctf(self) -> dict[str, int]:
+        """term -> collection frequency, the sum of the term's tfs."""
+        if not self.terms:
+            return {}
+        starts = np.cumsum(self.doc_freqs, dtype=np.int64) - self.doc_freqs
+        sums = np.add.reduceat(self.pairs[:, 1], starts, dtype=np.uint64)
+        return dict(zip(self.terms, sums.tolist()))
+
+    @cached_property
+    def docno_array(self) -> np.ndarray:
+        """``docnos`` as an object array, to index with an ordinal array."""
+        return np.array(self.docnos, dtype=object)
 
     @cached_property
     def docno_rank(self) -> np.ndarray:
@@ -192,15 +206,24 @@ class Index:
             raise ValueError("terms not unique and sorted")
         if (self.doc_freqs < 1).any():
             raise ValueError("df < 1 for term %r" % terms[self.doc_freqs.argmin()])
-        # rising ordinals below N also bound df by N
         ends = np.cumsum(self.doc_freqs, dtype=np.int64)
-        falls = np.diff(ordinals.astype(np.int64), prepend=-1) <= 0
-        falls[ends[:-1]] = False  # the first row of a term may fall
-        for bad, what in ((tfs < 1, "tf < 1"), (ordinals >= n, "doc ordinal >= N"),
-                          (falls, "postings not sorted")):
-            if bad.any():
-                term = terms[np.searchsorted(ends, bad.argmax(), side="right")]
-                raise ValueError("%s for term %r" % (what, term))
+
+        def fault(row, what):
+            term = terms[np.searchsorted(ends, row, side="right")]
+            raise ValueError("%s for term %r" % (what, term))
+
+        if not len(ordinals):
+            return
+        # a mask is built only once the min or max shows a fault
+        if tfs.min() < 1:
+            fault((tfs < 1).argmax(), "tf < 1")
+        if ordinals.max() >= n:
+            fault((ordinals >= n).argmax(), "doc ordinal >= N")
+        # rising ordinals below N also bound df by N
+        falls = ordinals[1:] <= ordinals[:-1]  # falls[i]: row i + 1 does not rise
+        falls[ends[:-1] - 1] = False  # the first row of a term may fall
+        if falls.any():
+            fault(falls.argmax() + 1, "postings not sorted")
 
     # -- serialization ----------------------------------------------------
 
@@ -273,7 +296,7 @@ class Index:
         sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
         doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
         meta = json.loads(bytes(sections[3]).decode("utf-8"))
-        if not all(isinstance(x, str) for x in meta["docnos"] + meta["terms"]):
+        if not all(map(isinstance, meta["docnos"] + meta["terms"], repeat(str))):
             raise ValueError("docnos and terms must be strings")
         s = meta["stoplist"]
         return cls(
@@ -349,7 +372,8 @@ def build_index(
 
     batch, ends = tokenize_chunks(list(chunk_table), strip_marks)
     position = dict.fromkeys(batch, -1)  # token -> its index in terms, -1 for a stopword
-    terms = sorted(position.keys() - (stoplist.words if stoplist else frozenset()))
+    stopwords = stoplist.words if stoplist else frozenset()
+    terms = sorted(filterfalse(stopwords.__contains__, position))
     if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))

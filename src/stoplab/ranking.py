@@ -197,34 +197,39 @@ def _rank(index: Index, query: Query, key: tuple, doc_weight, query_weight,
     documents; the document part comes from the memo for ``key`` when the
     term was weighed before.  Scores start at zero, and the candidates are
     the matched documents; or, given a ``prior``, at the prior, and every
-    document is a candidate.  No match, an empty run.
+    document is a candidate.  No match, an empty run.  A weight or score
+    that overflows to infinity or NaN raises ValueError.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     parts = _doc_parts(index, key)
     scores = np.zeros(index.N) if prior is None else prior
     matched = np.zeros(index.N, dtype=bool)
-    for term in sorted(query.terms):
-        plist = index.postings.get(term)
-        if plist is None:
-            continue
-        ordinals = plist[:, 0]
-        part = _memoized(parts, term, lambda: doc_weight(
-            term, plist[:, 1], index.doc_lengths[ordinals]))
-        scores[ordinals] += part * query_weight(term, query.terms[term])
-        matched[ordinals] = True
+    with np.errstate(all="ignore"):  # a non-finite score is refused below
+        for term in sorted(query.terms):
+            plist = index.postings.get(term)
+            if plist is None:
+                continue
+            ordinals = plist[:, 0]
+            part = _memoized(parts, term, lambda: doc_weight(
+                term, plist[:, 1], index.doc_lengths[ordinals]))
+            scores[ordinals] += part * query_weight(term, query.terms[term])
+            matched[ordinals] = True
     if not matched.any():
         return RankedRun(query.qid, [], np.zeros(0), tag)
     candidates = np.flatnonzero(matched) if prior is None else np.arange(index.N)
     values = scores[candidates]
+    if not np.isfinite(values).all():
+        raise ValueError("query %s: the %s weights overflow to a non-finite score; "
+                         "use smaller model parameters" % (query.qid, key[0]))
     if len(candidates) > top_k:
         # keep every score tied with the top_k-th best; the sort settles ties
         cut = len(candidates) - top_k
         keep = values >= np.partition(values, cut)[cut]
         candidates, values = candidates[keep], values[keep]
     order = np.lexsort((index.docno_rank[candidates], -values))[:top_k]
-    docnos = [index.docnos[i] for i in candidates[order].tolist()]
-    return RankedRun(query.qid, docnos, values[order], tag)
+    return RankedRun(query.qid, index.docno_array[candidates[order]].tolist(),
+                     values[order], tag)
 
 
 def score_bm25(

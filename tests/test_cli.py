@@ -236,6 +236,24 @@ class TestSearchCommand:
         assert err.count("\n") == 1
         assert sorted(tmp.iterdir()) == before  # no run file, no temp file
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+    @pytest.mark.parametrize("flag", ["--k1", "--k3"])
+    def test_overflowing_weights_exit_2_without_output(self, toy, capsys, flag):
+        # c has tf 2 in D3 and qtf 2 here, so k1 or k3 at 1e308 overflows
+        tmp, idx, _ = self.build(toy)
+        topics = tmp / "cc.txt"
+        topics.write_text("<top>\n<num>7</num>\n<title>c c</title>\n</top>\n")
+        out = tmp / "r.run"
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main(["search", "--index", str(idx), "--topics", str(topics),
+                   "--model", "BM25", flag, "1e308", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == ("error: query 7: the BM25 weights overflow to a non-finite "
+                       "score; use smaller model parameters\n")
+        assert sorted(tmp.iterdir()) == before  # no run file, no temp file
+
     def test_unknown_model_is_usage_error(self, toy):
         tmp, idx, topics = self.build(toy)
         rc = main(["search", "--index", str(idx), "--topics", str(topics),

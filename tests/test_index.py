@@ -205,6 +205,7 @@ class TestBuildIndex:
         idx = build_index([])
         assert idx.N == 0
         assert idx.postings == {}
+        assert idx.ctf == {}
         assert idx.avgdl == 0.0
 
     def test_duplicate_docno_rejected(self):
@@ -283,6 +284,7 @@ def assert_matches_reference(docs, stoplist, strip_marks):
     assert as_lists(idx.postings) == ref["postings"]
     assert idx.doc_lengths.tolist() == ref["doc_lengths"]
     assert idx.ctf == ref["ctf"]
+    assert all(type(c) is int for c in idx.ctf.values())
     assert idx.total_tokens == ref["total_tokens"]
     assert idx.stopwords_removed == ref["stopwords_removed"]
     # load(save(i)) == i
@@ -486,11 +488,15 @@ class TestCheck:
         (2, (0, 1), "postings not sorted for term 'b'"),
         (4, (3, 2), "doc ordinal >= N for term 'c'"),
         (1, (0, 0), "tf < 1 for term 'b'"),
+        # with two faults, tf is named before the ordinal, the ordinal before
+        # the order
+        ([3, 2], [(1, 0), (0, 1)], "tf < 1 for term 'c'"),
+        ([4, 2], [(3, 2), (0, 1)], "doc ordinal >= N for term 'c'"),
     ])
     def test_broken_posting_named(self, row, value, message):
         pairs = _toy_columns()["pairs"]
-        total = int(pairs[:, 1].sum()) - int(pairs[row, 1]) + value[1]
         pairs[row] = value
+        total = int(pairs[:, 1].sum())
         index = self.broken(pairs=pairs, total_tokens=total,
                             doc_lengths=np.array([2, 2, total - 4], dtype=np.uint32))
         with pytest.raises(ValueError, match=message):
