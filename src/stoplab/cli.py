@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 usage error, 2 data or parse error.
 
 import argparse
 import logging
+import math
 import os
 import re
 import sys
@@ -320,9 +321,13 @@ def read_report_tsv(path) -> tuple[str, dict[str, dict[str, float]]]:
         if fields[1] == "all":
             continue
         try:
-            rows[fields[1]] = {"ap": float(fields[5]), "num_relevant": int(fields[2])}
+            ap, num_relevant = float(fields[5]), int(fields[2])
         except ValueError as exc:
             raise ParseError("%s line %d: %s" % (name, lineno, exc)) from None
+        if not math.isfinite(ap):  # the rank tests need ordered values
+            raise ParseError("%s line %d: average precision %s is not finite"
+                             % (name, lineno, fields[5]))
+        rows[fields[1]] = {"ap": ap, "num_relevant": num_relevant}
     if tag is None:
         raise ParseError("%s: report contains no rows" % name)
     return tag, rows

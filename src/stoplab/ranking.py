@@ -307,10 +307,17 @@ def score_kl_dirichlet(
     def query_weight(term, qtf):
         return float(qtf)
 
+    def length_prior(dl):
+        try:
+            return math.log(mu / (mu + dl))
+        except ValueError:  # mu / (mu + dl) underflowed to 0
+            raise ValueError("mu %r is too small: mu / (mu + dl) underflows to 0 at "
+                             "document length %d; use a larger mu" % (mu, dl)) from None
+
     key = ("KL", params)
     # the length prior sits in the memo beside the terms, under None
     length_part = _memoized(_doc_parts(index, key), None, lambda: _per_distinct(
-        lambda dl: math.log(mu / (mu + dl)), index.doc_lengths))
+        length_prior, index.doc_lengths))
     return _rank(index, query, key, doc_weight, query_weight, top_k, tag,
                  qlen * length_part)
 

@@ -7,10 +7,18 @@ Castellan, "Nonparametric Statistics for the Behavioral Sciences" (2nd ed.,
 1988).  Alongside the Wilcoxon p-value the (better, worse, tied) sign
 counts are reported, since they summarize per-query wins at a glance.
 
-The Wilcoxon p-value is computed exactly for up to 20 nonzero differences
-by enumerating all sign assignments of the observed ranks; beyond that a
-normal approximation with tie-corrected variance and continuity correction
-is used.
+How each p-value is computed, with numpy and ``math`` only:
+
+- Friedman: the chi-square upper tail with k-1 degrees of freedom, a
+  finite sum for integer df (see ``chi_square_upper_tail``) whose terms
+  are computed in log space, so that none overflows or underflows early.
+- Wilcoxon: exact for up to 20 nonzero differences, by enumerating all
+  sign assignments of the observed ranks; beyond that a normal
+  approximation with tie-corrected variance and continuity correction,
+  whose normal CDF is 0.5 * erfc(-z / sqrt(2)).
+
+Ties get average ranks, computed as scipy.stats.rankdata does, so the
+ranks are exact halves.
 """
 
 import math
@@ -18,22 +26,48 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
-from scipy.stats import rankdata
 
 EXACT_LIMIT = 20
+
+
+def average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of a one-dimensional sample, ties getting the mean of the
+    ranks they span: a stable sort, the start of each tie group, then each
+    group's first and last rank averaged."""
+    a = np.asarray(values)
+    order = np.argsort(a, kind="mergesort")
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.arange(len(a))
+    ordered = a[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.cumsum(starts)[inverse]
+    count = np.r_[np.flatnonzero(starts), len(a)]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
 def chi_square_upper_tail(x: float, df: int) -> float:
     """Survival function of the chi-square distribution.
 
-    Computed through the regularized upper incomplete gamma function.
+    The regularized upper incomplete gamma Q(df/2, x/2) in closed form for
+    integer df: with y = x/2, the sum of e^-y y^a / Gamma(a+1) over
+    a = 0, 1, ..., df/2 - 1 for even df, and erfc(sqrt(y)) plus that sum
+    over a = 1/2, 3/2, ..., df/2 - 1 for odd df.
     """
-    if x < 0:
+    if not x >= 0:  # NaN too
         raise ValueError("x must be non-negative")
     if df < 1 or int(df) != df:
         raise ValueError("df must be a positive integer")
-    return float(gammaincc(df / 2.0, x / 2.0))
+    y = x / 2.0
+    if y == 0.0:
+        return 1.0
+    if y == math.inf:
+        return 0.0
+    total, a = (math.erfc(math.sqrt(y)), 0.5) if df % 2 else (0.0, 0.0)
+    log_y = math.log(y)
+    while a < df / 2.0:
+        total += math.exp(a * log_y - y - math.lgamma(a + 1.0))
+        a += 1.0
+    return min(1.0, total)
 
 
 @dataclass
@@ -55,6 +89,8 @@ def friedman(matrix, labels: Sequence[str] | None = None) -> FriedmanResult:
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
+    if not np.isfinite(m).all():  # ranks order values, and NaN has no order
+        raise ValueError("scores must be finite")
     n, k = m.shape
     if n < 2 or k < 2:
         raise ValueError("need at least 2 subjects and 2 treatments")
@@ -63,7 +99,7 @@ def friedman(matrix, labels: Sequence[str] | None = None) -> FriedmanResult:
     elif len(labels) != k:
         raise ValueError("need one label per treatment")
 
-    ranks = np.apply_along_axis(rankdata, 1, m)
+    ranks = np.array([average_ranks(row) for row in m])
     column_sums = ranks.sum(axis=0)
     chi2 = (12.0 * float(np.sum(column_sums**2))) / (n * k * (k + 1)) - 3.0 * n * (
         k + 1
@@ -146,7 +182,8 @@ def _approx_two_sided_p(ranks: np.ndarray, statistic: float) -> float:
     counts = counts.astype(float)
     variance -= float(np.sum(counts**3 - counts)) / 48.0
     z = (statistic - mean + 0.5) / math.sqrt(variance)
-    return min(1.0, 2.0 * float(ndtr(z)))
+    # twice the normal CDF at z, 2 * 0.5 * erfc(-z / sqrt(2))
+    return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
 
 def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
@@ -163,6 +200,8 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
         raise ValueError("need two equal-length one-dimensional samples")
     if method not in ("auto", "exact", "approx"):
         raise ValueError("method must be auto, exact or approx")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("samples must be finite")
     d = x - y
     better = int(np.sum(d > 0))
     worse = int(np.sum(d < 0))
@@ -171,7 +210,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     n_used = len(nonzero)
     if n_used == 0:
         return WilcoxonResult(0, 0.0, 0.0, 0.0, 1.0, better, worse, tied)
-    ranks = rankdata(np.abs(nonzero))
+    ranks = average_ranks(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     statistic = min(w_plus, w_minus)

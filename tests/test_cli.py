@@ -254,6 +254,20 @@ class TestSearchCommand:
                        "score; use smaller model parameters\n")
         assert sorted(tmp.iterdir()) == before  # no run file, no temp file
 
+    def test_underflowing_length_prior_exits_2_without_output(self, toy, capsys):
+        # mu / (mu + dl) rounds to 0 for the smallest positive mu and dl 2
+        tmp, idx, topics = self.build(toy)
+        out = tmp / "r.run"
+        before = sorted(tmp.iterdir())
+        capsys.readouterr()
+        rc = main(["search", "--index", str(idx), "--topics", str(topics),
+                   "--model", "KL", "--mu", "5e-324", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: mu 5e-324 is too small: mu / (mu + dl) underflows to 0 at "
+            "document length 2; use a larger mu\n")
+        assert sorted(tmp.iterdir()) == before  # no run file, no temp file
+
     def test_unknown_model_is_usage_error(self, toy):
         tmp, idx, topics = self.build(toy)
         rc = main(["search", "--index", str(idx), "--topics", str(topics),
@@ -643,6 +657,20 @@ class TestCompareCommand:
         assert main(["compare", str(a), str(b)]) == 2
         assert capsys.readouterr().err == (
             "error: %s line 3: could not convert string to float: 'zz'\n" % b)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_ap_in_report_is_refused(self, tmp_path, capsys, value):
+        qrels = self.qrels_text(["1", "2"])
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2}, qrels, capsys)
+        b = self.make_report(tmp_path, "BM25", {"1": 2, "2": 1}, qrels, capsys)
+        lines = b.read_text(encoding="utf-8").splitlines(keepends=True)
+        fields = lines[2].split("\t")
+        fields[5] = value  # the AP column of query 2
+        lines[2] = "\t".join(fields)
+        b.write_text("".join(lines), encoding="utf-8")
+        assert main(["compare", str(a), str(b)]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s line 3: average precision %s is not finite\n" % (b, value))
 
 
 class TestStoplistCommand:

@@ -1,11 +1,15 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from stoplab.sigtest import (
+    average_ranks,
     chi_square_upper_tail,
     friedman,
     friedman_chi2_from_mean_ranks,
@@ -42,6 +46,11 @@ class TestChiSquareUpperTail:
 
     def test_large_statistic_tiny_p(self):
         assert chi_square_upper_tail(70.471, 11) < 1e-9
+
+    def test_infinite_and_nan_statistics(self):
+        assert chi_square_upper_tail(math.inf, 3) == 0.0
+        with pytest.raises(ValueError, match="x must be non-negative"):
+            chi_square_upper_tail(math.nan, 3)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -100,6 +109,11 @@ class TestFriedman:
         a, b = friedman(m), friedman(transformed)
         assert a.chi2 == pytest.approx(b.chi2, rel=1e-12)
         assert a.mean_ranks == b.mean_ranks
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            friedman([[0.1, 0.2], [0.3, bad], [0.5, 0.6]])
 
     def test_labels_carried(self):
         result = friedman([[1, 2], [2, 1], [1, 2]], labels=["A", "B"])
@@ -208,6 +222,13 @@ class TestWilcoxon:
         assert result.n_used > 20
         assert 0.0 <= result.p_value <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            wilcoxon_signed_rank([0.1, bad, 0.3], [0.2, 0.2, 0.2])
+        with pytest.raises(ValueError, match="samples must be finite"):
+            wilcoxon_signed_rank([0.2, 0.2, 0.2], [0.1, bad, 0.3])
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
@@ -215,3 +236,47 @@ class TestWilcoxon:
             wilcoxon_signed_rank([], [])
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [2.0], method="bogus")
+
+
+# values drawn mostly from a small pool, so that ties are common
+TIE_HEAVY = st.one_of(
+    st.sampled_from([-0.0, 0.0, 0.1, -0.1, 0.25, -0.25, 0.5, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+)
+
+
+class TestAgainstOutsideReferences:
+    """The statistics stoplab computes with numpy and math, pinned to scipy
+    and mpmath as oracles."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(TIE_HEAVY, min_size=1, max_size=60))
+    @example([-0.0, 0.0, -0.0])
+    def test_average_ranks_equal_scipy_rankdata(self, values):
+        assert average_ranks(values).tolist() == scipy.stats.rankdata(values).tolist()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(0.0, 2000.0), st.integers(1, 200))
+    @example(0.0, 1)
+    @example(2000.0, 1)
+    @example(2000.0, 200)
+    def test_chi_square_tail_within_1e_12_of_mpmath(self, x, df):
+        import mpmath
+
+        with mpmath.workdps(40):
+            expected = float(mpmath.gammainc(
+                mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True))
+        # below the smallest normal double no relative bound can hold
+        assert chi_square_upper_tail(x, df) == pytest.approx(
+            expected, rel=1e-12, abs=sys.float_info.min)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(TIE_HEAVY, min_size=21, max_size=80))
+    def test_normal_approximation_matches_scipy(self, differences):
+        assume(sum(d != 0 for d in differences) > 20)
+        zeros = [0.0] * len(differences)
+        result = wilcoxon_signed_rank(differences, zeros)
+        expected = scipy.stats.wilcoxon(
+            differences, zeros, method="approx", correction=True)
+        assert result.statistic == expected.statistic
+        assert result.p_value == pytest.approx(expected.pvalue, rel=1e-12)
