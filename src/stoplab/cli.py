@@ -16,6 +16,8 @@ Exit codes: 0 success, 1 usage error, 2 data or parse error.
 """
 
 import argparse
+import errno
+import io
 import logging
 import math
 import os
@@ -23,6 +25,8 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from itertools import compress, count
+from operator import ne
 
 import numpy as np
 
@@ -132,6 +136,19 @@ def _require_paths(*paths: str) -> None:
             raise ParseError("%s: no such file or directory" % p)
 
 
+def _require_writable(path: str) -> None:
+    """Refuse an output path before any input is read, naming it: its
+    directory must exist and be a directory, and it must not be one."""
+    directory = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _resolve_stoplist(selection: str) -> Stoplist:
     if selection == "none":  # `index` checks for it first
         raise UsageError("'none' is only for index --stoplist; give GS, CBS, CS or a file")
@@ -211,10 +228,22 @@ def read_run_file(source) -> list[RankedRun]:
     """Parse a TREC run file into per-query runs, in order of first
     appearance.  Each query's docnos and scores are put in order by the
     rank column, and equal ranks keep file order; scores do not affect the
-    order.  The rank values themselves are not kept: a rank is a position."""
-    columns: dict[str, tuple] = {}  # qid -> tag, docnos seen, docnos, ranks, scores
+    order.  The rank values themselves are not kept: a rank is a position.
+    A query's tag comes from its first line.  Text as ``write_run`` writes
+    it is read by columns, any other text line by line, to the same runs."""
     name = source_name(source, "run")
-    for lineno, line in iter_lines(source, name):
+    text = read_text(source, name)
+    runs = _read_run_columns(text)
+    return _read_run_lines(text, name) if runs is None else runs
+
+
+def _read_run_lines(text: str, name: str) -> list[RankedRun]:
+    """Read a run line by line: lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
+    fields split at any run of whitespace, blank lines are skipped, and one
+    query's lines may interleave with another's.  The only reader that
+    names a fault."""
+    columns: dict[str, tuple] = {}  # qid -> tag, docnos seen, docnos, ranks, scores
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         fields = line.split()
         if not fields:
             continue
@@ -237,11 +266,75 @@ def read_run_file(source) -> list[RankedRun]:
         docnos.append(docno)
         ranks.append(rank)
         scores.append(score)
+    return [_in_rank_order(qid, tag, docnos, ranks, scores)
+            for qid, (tag, _, docnos, ranks, scores) in columns.items()]
+
+
+def _in_rank_order(qid: str, tag: str, docnos: list[str], ranks: list[int],
+                   scores: list[float]) -> RankedRun:
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable
+    return RankedRun(qid, [docnos[i] for i in order],
+                     np.array([scores[i] for i in order]), tag)
+
+
+# The separators of a canonical run line: five spaces, then a newline.
+_SEPARATORS = np.array([32] * 5 + [10], dtype=np.uint8)
+# Splitting a 50,000-line run in blocks of this many lines, and freeing
+# each block's field strings before the next, is faster than one split.
+_BLOCK_LINES = 1024
+
+
+def _read_run_columns(text: str) -> list[RankedRun] | None:
+    """The runs in ``text`` if it is canonical, as ``write_run`` writes
+    it, else None.  Canonical text is ASCII, and each of its lines is six
+    fields joined by single spaces and ended by ``\\n``: its fields are
+    then the line reader's.  None also stands for a rank, a score or a
+    repeated docno that the line reader refuses."""
+    if not text.isascii():
+        return None
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cuts = np.flatnonzero(data <= 32)  # every space, newline or other control
+    n = len(cuts) // 6
+    if (n == 0 or len(cuts) != 6 * n or cuts[0] == 0 or cuts[-1] != len(data) - 1
+            or (np.diff(cuts) == 1).any()
+            or not (data[cuts].reshape(n, 6) == _SEPARATORS).all()):
+        return None
+    step = 6 * _BLOCK_LINES  # the end of each block is its last newline
+    bounds = [0, *(cuts[step - 1:-1:step] + 1).tolist(), len(text)]
+    del data, cuts
+
+    columns: dict[str, tuple] = {}  # qid -> tag, docnos, rank strings, scores
+    for start, end in zip(bounds, bounds[1:]):
+        fields = text[start:end].split()
+        qids, docnos, ranks = fields[0::6], fields[2::6], fields[3::6]
+        try:
+            scores = list(map(float, fields[4::6]))
+        except ValueError:
+            return None
+        # a query's lines in this block run from a change of qid to the next
+        changes = [0, *compress(count(1), map(ne, qids, qids[1:])), len(qids)]
+        for a, b in zip(changes, changes[1:]):
+            if qids[a] not in columns:
+                columns[qids[a]] = (fields[6 * a + 5], [], [], [])
+            _, query_docnos, query_ranks, query_scores = columns[qids[a]]
+            query_docnos += docnos[a:b]
+            query_ranks += ranks[a:b]
+            query_scores += scores[a:b]
+
+    longest = max(len(docnos) for _, docnos, _, _ in columns.values())
+    in_order = list(map(str, range(1, longest + 1)))
     runs = []
-    for qid, (tag, _, docnos, ranks, scores) in columns.items():
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable
-        runs.append(RankedRun(qid, [docnos[i] for i in order],
-                              np.array([scores[i] for i in order]), tag))
+    for qid, (tag, docnos, ranks, scores) in columns.items():
+        if len(set(docnos)) != len(docnos):
+            return None
+        if ranks == in_order[:len(ranks)]:
+            runs.append(RankedRun(qid, docnos, np.array(scores), tag))
+            continue
+        try:
+            ranks = list(map(int, ranks))
+        except ValueError:
+            return None
+        runs.append(_in_rank_order(qid, tag, docnos, ranks, scores))
     return runs
 
 
@@ -347,6 +440,7 @@ def cmd_index(args) -> int:
     selection = _merged(args, "stoplist", str, "none")
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
+    _require_writable(out_path)
     _require_paths(*corpus)
     paths = _expand_paths(corpus)
     stoplist = None if selection == "none" else _resolve_stoplist(selection)
@@ -400,7 +494,10 @@ def cmd_search(args) -> int:
     model = _merged(args, "model", _check_model, "TFIDF")
     top_k = _merged(args, "top_k", int, DEFAULT_TOP_K)
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
+    out_path = _merged(args, "out", str, None)
 
+    if out_path:
+        _require_writable(out_path)
     _require_paths(index_path, topics_path)
     index = Index.load(index_path)
     topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
@@ -415,7 +512,6 @@ def cmd_search(args) -> int:
     tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
     scorer = SCORERS[model]
 
-    out_path = _merged(args, "out", str, None)
     with atomic_write(out_path) if out_path else nullcontext(sys.stdout) as out:
         for qid, text in topics:
             query = Query.from_text(
@@ -433,14 +529,16 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _require_writable(args.out)
     runs = read_run_file(args.run)
     qrels = parse_qrels(args.qrels)
     report = evaluate_run(runs, qrels)
     tag = runs[0].tag if runs else "(empty run)"
-    write_report_text(report, tag, sys.stdout)
-    if args.out:
+    if args.out:  # before the text report, so a failed write prints nothing
         with atomic_write(args.out) as f:
             write_report_tsv(report, tag, f)
+    write_report_text(report, tag, sys.stdout)
     return 0
 
 
@@ -533,6 +631,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stoplist_build(args) -> int:
+    _require_writable(args.out)
     index = Index.load(args.index)
     exclusions: set[str] = set()
     if args.exclude:
@@ -554,6 +653,7 @@ def cmd_stoplist_build(args) -> int:
 
 
 def cmd_stoplist_combine(args) -> int:
+    _require_writable(args.out)
     a = _resolve_stoplist(args.a)
     b = _resolve_stoplist(args.b)
     merged = combine(a, b, name=args.name)

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stoplab.cli import main, parse_topics, read_report_tsv, read_run_file, write_run
+from stoplab.cli import (
+    _read_run_columns,
+    _read_run_lines,
+    main,
+    parse_topics,
+    read_report_tsv,
+    read_run_file,
+    write_run,
+)
 from stoplab.errors import ParseError
 from stoplab.index import Index
 from stoplab.ranking import RankedRun
@@ -289,6 +297,38 @@ class TestSearchCommand:
         )
 
 
+topic_words = st.text(st.sampled_from("abxyzقالمن"), min_size=1, max_size=6)
+
+
+@st.composite
+def topic_files(draw):
+    """A well-formed topics file and its (qid, query) pairs: upper- or
+    lower-case tags, closed or open fields, any whitespace between words,
+    and a query that is the title, a space and the description."""
+    qids = draw(st.lists(st.text(st.sampled_from("0123456789qQ-"), min_size=1,
+                                 max_size=4), min_size=1, max_size=4, unique=True))
+    gap = st.sampled_from([" ", "\n", "  ", "\t"])
+    text, topics = "", []
+    for qid in qids:
+        tag = draw(st.sampled_from([str.lower, str.upper]))
+        close = draw(st.booleans())
+
+        def field(name, prefix, words):
+            body = "".join(w + draw(gap) for w in words).rstrip()
+            end = "</%s>" % tag(name) if close else ""
+            return body, "<%s>%s%s%s%s\n" % (tag(name), draw(gap), prefix, body, end)
+
+        _, num = field("num", draw(st.sampled_from(["", "Number: "])), [qid])
+        title, title_field = field("title", "", draw(st.lists(topic_words, min_size=1,
+                                                              max_size=4)))
+        desc, desc_field = field("desc", draw(st.sampled_from(["", "Description:\n"])),
+                                 draw(st.lists(topic_words, max_size=6)))
+        text += "<%s>\n%s%s%s</%s>\n" % (tag("top"), num, title_field, desc_field,
+                                          tag("top"))
+        topics.append((qid, "%s %s" % (title, desc) if desc else title))
+    return text, topics
+
+
 class TestTopicsParsing:
     def test_upper_case_tags_parse(self):
         text = "<TOP>\n<NUM> Number: 4\n<TITLE> x\n<DESC> Description: y\n</TOP>\n"
@@ -308,6 +348,14 @@ class TestTopicsParsing:
         assert rc == 2
         assert capsys.readouterr().err == "error: %s: no <top> blocks\n" % topics
         assert sorted(tmp.iterdir()) == before  # no run file, no temp file
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(written=topic_files())
+    def test_written_topics_read_back(self, written):
+        """Each topic reads back as its qid and its title and description,
+        in file order; whitespace inside a field is kept."""
+        text, topics = written
+        assert parse_topics(text) == topics
 
     def test_title_and_desc_concatenated(self):
         topics = parse_topics(
@@ -504,6 +552,86 @@ class TestRunFileRoundTrip:
         runs = read_run_file(io.StringIO(text))
         assert [list(zip(r.docnos, r.scores.tolist())) for r in runs] == (
             [by_rank] if lines else [])
+
+
+ascii_names = st.text(st.sampled_from("aZ09-_.%"), min_size=1, max_size=4)
+
+
+@st.composite
+def canonical_runs(draw):
+    """The text ``write_run`` writes for drawn runs, its lines in any
+    order; some runs have more lines than one block of the column reader."""
+    runs = []
+    for qid in draw(st.lists(ascii_names, min_size=1, max_size=3, unique=True)):
+        n = draw(st.sampled_from([1, 2, 7, 700, 1500]))
+        scores = draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=4))
+        prefix = draw(ascii_names)
+        runs.append(RankedRun(qid, ["%s%d" % (prefix, i) for i in range(n)],
+                              np.array([scores[i % len(scores)] for i in range(n)]),
+                              draw(ascii_names)))
+    lines = run_text(runs).splitlines(keepends=True)
+    if draw(st.booleans()):
+        draw(st.randoms(use_true_random=False)).shuffle(lines)
+    return lines
+
+
+def _set_field(line: str, k: int, value: str) -> str:
+    fields = line[:-1].split(" ")
+    fields[k] = value
+    return " ".join(fields) + "\n"
+
+
+# each changes line i of a canonical run's lines; the column reader must
+# then refuse the text or read it as the line reader does
+PERTURBATIONS = {
+    "tab": lambda line, i: line.replace(" ", "\t", 1),
+    "crlf": lambda line, i: line[:-1] + "\r\n",
+    "no newline": lambda line, i: line[:-1],  # on the last line: no final newline
+    "x1c": lambda line, i: line.replace(" ", "\x1c", 1),
+    "em space": lambda line, i: line.replace(" ", "\u2003", 1),
+    "double space": lambda line, i: line.replace(" ", "  ", 1),
+    "arabic docno": lambda line, i: _set_field(line, 2, "قال"),
+    "bad rank": lambda line, i: _set_field(line, 3, "x"),
+    "other rank": lambda line, i: _set_field(line, 3, str(i % 3)),
+    "bad score": lambda line, i: _set_field(line, 4, "zz"),
+    "duplicate docno": lambda line, i: line + line,
+    "interleaved qid": lambda line, i: _set_field(line, 0, "q%d" % (i % 2)),
+    "other tag": lambda line, i: _set_field(line, 5, "t%d" % (i % 2)),
+}
+
+
+def _line_reader(text: str):
+    try:
+        return _read_run_lines(text, "run")
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestRunReaders:
+    """The column reader answers for canonical text, and then as the line
+    reader does; on any other text ``read_run_file`` gives the line
+    reader's runs or its error."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(lines=canonical_runs())
+    def test_canonical_text_is_read_by_columns(self, lines):
+        text = "".join(lines)
+        runs = _read_run_columns(text)
+        assert runs is not None
+        assert runs == _read_run_lines(text, "run")  # tags included
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(lines=canonical_runs(), change=st.sampled_from(sorted(PERTURBATIONS)),
+           data=st.data())
+    def test_changed_text_is_read_as_by_lines(self, lines, change, data):
+        i = data.draw(st.integers(0, len(lines) - 1) | st.just(len(lines) - 1))
+        lines[i] = PERTURBATIONS[change](lines[i], i)
+        text = "".join(lines)
+        try:
+            got = read_run_file(io.StringIO(text))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == _line_reader(text)
 
 
 # '%' and '(' in qids, docnos and tags would break an unescaped format
@@ -1051,6 +1179,48 @@ class TestFailedCommandOutputs:
             assert rc == 2
             assert capsys.readouterr().err.endswith(": '%s'\n" % target)
         assert list(tmp_path.iterdir()) == []
+
+
+def _inputs(command, tmp, corpus, topics, present):
+    """Arguments, all but ``--out``, with which ``command`` succeeds, or,
+    with ``present`` false, whose first input is missing."""
+    ghost = str(tmp / "ghost")
+    if command in ("search", "stoplist build") and present:
+        assert main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx")]) == 0
+    first = str(tmp / "t.idx") if present else ghost
+    return {
+        "index": ["index", "--corpus", str(corpus) if present else ghost],
+        "search": ["search", "--index", first, "--topics", str(topics)],
+        "eval": ["eval", "--run", str(FIXTURES / "sample.run") if present else ghost,
+                 "--qrels", str(FIXTURES / "sample.qrels")],
+        "stoplist build": ["stoplist", "build", "--index", first, "--cutoff", "1"],
+        "stoplist combine": ["stoplist", "combine", "--a", "GS" if present else ghost,
+                             "--b", "CBS"],
+    }[command]
+
+
+class TestUnwritableOutput:
+    """An ``--out`` that cannot be written is refused, by name, before any
+    input is read: nothing on stdout, and no file left behind."""
+
+    @pytest.mark.parametrize("present", [True, False], ids=["inputs", "no-inputs"])
+    @pytest.mark.parametrize("target", ["nodir/x.out", "afile/x.out", "adir"])
+    @pytest.mark.parametrize(
+        "command", ["index", "search", "eval", "stoplist build", "stoplist combine"])
+    def test_refused_before_inputs(self, toy, capsys, command, target, present):
+        tmp, corpus, topics = toy
+        (tmp / "afile").write_bytes(b"")
+        (tmp / "adir").mkdir()
+        argv = _inputs(command, tmp, corpus, topics, present)
+        before = sorted(tmp.rglob("*"))
+        capsys.readouterr()
+        rc = main(argv + ["--out", str(tmp / target)])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.endswith(": '%s'\n" % (tmp / target))
+        assert err.count("\n") == 1
+        assert sorted(tmp.rglob("*")) == before
 
 
 class TestUpfrontValidation:

@@ -41,7 +41,7 @@ PIECES = [
     b" ", b"\t", b"\n", b"\r", b"\r\n", b"1", b"2", b"Q0", b"D1", b"0.5", b"-3",
     b"zz", b"=", b"#", b"nan", "ق".encode("utf-8"), b"\xd9", b"\xff", b"\x00",
     b"<top>", b"</top>", b"<num>", b"<title>", b"<DOC>", b"</DOC>", b"<DOCNO>",
-    b"</DOCNO>", b"<TEXT>", b"</TEXT>", REPORT_ROW,
+    b"</DOCNO>", b"<TEXT>", b"</TEXT>", REPORT_ROW, b"1 Q0 D1 1 0.5 T\n",
 ]
 
 contents = st.builds(

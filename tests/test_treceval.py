@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoplab.errors import ParseError
 from stoplab.ranking import RankedRun
@@ -79,6 +81,34 @@ class TestParseQrels:
             parse_qrels(path)
         assert str(info.value) == (
             "%s line 2: invalid utf-8 at byte 13: invalid start byte" % path)
+
+
+qrels_words = st.text(st.sampled_from("aZ09-_.قال"), min_size=1, max_size=5)
+
+
+@st.composite
+def judged_queries(draw):
+    """qid -> docno -> relevance grade, with zero and negative grades."""
+    return draw(st.dictionaries(
+        qrels_words, st.dictionaries(qrels_words, st.integers(-1, 3), max_size=6),
+        max_size=4))
+
+
+class TestQrelsRoundTrip:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(judged=judged_queries(), data=st.data())
+    def test_written_qrels_read_back(self, judged, data):
+        """Judgments written in any order, with any whitespace between
+        fields and any line ending, read back as each query's relevant set;
+        a query with no grade above 0 keeps an empty set."""
+        lines = [data.draw(st.sampled_from([" ", "\t", "  "])).join(
+                     (qid, str(data.draw(st.integers(0, 9))), docno, str(rel)))
+                 + data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                 for qid, grades in judged.items() for docno, rel in grades.items()]
+        text = "".join(data.draw(st.permutations(lines)))
+        expected = {qid: {d for d, rel in grades.items() if rel > 0}
+                    for qid, grades in judged.items() if grades}
+        assert parse_qrels(io.StringIO(text)) == expected
 
 
 class TestEvaluateQuery:
