@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 usage error, 2 data or parse error.
 """
 
 import argparse
-import errno
 import io
 import logging
 import math
@@ -136,19 +135,6 @@ def _require_paths(*paths: str) -> None:
             raise ParseError("%s: no such file or directory" % p)
 
 
-def _require_writable(path: str) -> None:
-    """Refuse an output path before any input is read, naming it: its
-    directory must exist and be a directory, and it must not be one."""
-    directory = os.path.dirname(path) or os.curdir
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif not os.path.isdir(directory):
-        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
-
-
 def _resolve_stoplist(selection: str) -> Stoplist:
     if selection == "none":  # `index` checks for it first
         raise UsageError("'none' is only for index --stoplist; give GS, CBS, CS or a file")
@@ -162,13 +148,12 @@ def _resolve_stoplist(selection: str) -> Stoplist:
         raise ParseError("%s: %s" % (selection, exc)) from None
 
 
-def write_stoplist(stoplist: Stoplist, path: str) -> None:
-    with atomic_write(path) as f:
-        f.write("# stoplist: %s\n" % stoplist.name)
-        f.write("# provenance: %s\n" % stoplist.provenance)
-        f.write("# words: %d\n" % len(stoplist))
-        for word in sorted(stoplist.words):
-            f.write(word + "\n")
+def write_stoplist(stoplist: Stoplist, out) -> None:
+    out.write("# stoplist: %s\n" % stoplist.name)
+    out.write("# provenance: %s\n" % stoplist.provenance)
+    out.write("# words: %d\n" % len(stoplist))
+    for word in sorted(stoplist.words):
+        out.write(word + "\n")
 
 
 # -- topic files ------------------------------------------------------------
@@ -440,11 +425,9 @@ def cmd_index(args) -> int:
     selection = _merged(args, "stoplist", str, "none")
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
-    _require_writable(out_path)
-    _require_paths(*corpus)
+    # corpus directories are listed before the output's temporary file
+    # opens, since it may lie in one of them
     paths = _expand_paths(corpus)
-    stoplist = None if selection == "none" else _resolve_stoplist(selection)
-
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():
@@ -456,14 +439,18 @@ def cmd_index(args) -> int:
             if len(sources) == before:  # empty, or not a corpus at all
                 raise ParseError("%s: no <DOC> blocks" % path)
 
-    try:
-        index = build_index(documents(), stoplist=stoplist, strip_marks=not keep_marks)
-    except DuplicateDocno as exc:
-        raise ParseError("%s: duplicate docno %r (first in %s)" % (
-            sources[exc.again], exc.docno, sources[exc.first])) from None
-    except BadDocno as exc:
-        raise ParseError("%s: %s" % (sources[exc.ordinal], exc)) from None
-    index.save(out_path)
+    with atomic_write(out_path, binary=True) as out:
+        _require_paths(*paths)
+        stoplist = None if selection == "none" else _resolve_stoplist(selection)
+        try:
+            index = build_index(documents(), stoplist=stoplist,
+                                strip_marks=not keep_marks)
+        except DuplicateDocno as exc:
+            raise ParseError("%s: duplicate docno %r (first in %s)" % (
+                sources[exc.again], exc.docno, sources[exc.first])) from None
+        except BadDocno as exc:
+            raise ParseError("%s: %s" % (sources[exc.ordinal], exc)) from None
+        index.save(out)
     print("documents:           %d" % index.N)
     print("tokens:              %d" % index.total_tokens)
     print("vocabulary:          %d" % index.vocabulary_size)
@@ -496,23 +483,20 @@ def cmd_search(args) -> int:
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
     out_path = _merged(args, "out", str, None)
 
-    if out_path:
-        _require_writable(out_path)
-    _require_paths(index_path, topics_path)
-    index = Index.load(index_path)
-    topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
-    if not topics:  # empty, or not a topics file at all
-        raise ParseError("%s: no <top> blocks" % topics_path)
-
-    # options the model does not take are ignored; unset ones keep defaults
-    param_type = PARAMS[model]
-    given = {f.name: _merged(args, f.name, float, None) for f in fields(param_type)}
-    params = param_type(**{k: v for k, v in given.items() if v is not None})
-
-    tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
-    scorer = SCORERS[model]
-
     with atomic_write(out_path) if out_path else nullcontext(sys.stdout) as out:
+        _require_paths(index_path, topics_path)
+        index = Index.load(index_path)
+        topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
+        if not topics:  # empty, or not a topics file at all
+            raise ParseError("%s: no <top> blocks" % topics_path)
+
+        # options the model does not take are ignored; unset ones keep defaults
+        param_type = PARAMS[model]
+        given = {f.name: _merged(args, f.name, float, None) for f in fields(param_type)}
+        params = param_type(**{k: v for k, v in given.items() if v is not None})
+
+        tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
+        scorer = SCORERS[model]
         for qid, text in topics:
             query = Query.from_text(
                 qid, text, stoplist=index.stoplist, strip_marks=index.strip_marks
@@ -529,15 +513,14 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.out:
-        _require_writable(args.out)
-    runs = read_run_file(args.run)
-    qrels = parse_qrels(args.qrels)
-    report = evaluate_run(runs, qrels)
-    tag = runs[0].tag if runs else "(empty run)"
-    if args.out:  # before the text report, so a failed write prints nothing
-        with atomic_write(args.out) as f:
-            write_report_tsv(report, tag, f)
+    # the TSV report is in place before the text report prints, so a
+    # failed write prints nothing
+    with atomic_write(args.out) if args.out else nullcontext() as out:
+        runs = read_run_file(args.run)
+        report = evaluate_run(runs, parse_qrels(args.qrels))
+        tag = runs[0].tag if runs else "(empty run)"
+        if out:
+            write_report_tsv(report, tag, out)
     write_report_text(report, tag, sys.stdout)
     return 0
 
@@ -631,33 +614,32 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stoplist_build(args) -> int:
-    _require_writable(args.out)
-    index = Index.load(args.index)
-    exclusions: set[str] = set()
-    if args.exclude:
-        exclusions = set(
-            load_stoplist(args.exclude, name="exclusions", provenance="custom").words
+    with atomic_write(args.out) as out:
+        index = Index.load(args.index)
+        exclusions: set[str] = set()
+        if args.exclude:
+            exclusions = set(
+                load_stoplist(args.exclude, name="exclusions", provenance="custom").words
+            )
+        stoplist = build_corpus_stoplist(
+            index.ctf, args.cutoff, exclusions, name=args.name
         )
-    stoplist = build_corpus_stoplist(
-        index.ctf, args.cutoff, exclusions, name=args.name
-    )
-    if not stoplist.words:
-        print(
-            "warning: cutoff %d exceeds every collection frequency; "
-            "the list is empty" % args.cutoff,
-            file=sys.stderr,
-        )
-    write_stoplist(stoplist, args.out)
+        if not stoplist.words:
+            print(
+                "warning: cutoff %d exceeds every collection frequency; "
+                "the list is empty" % args.cutoff,
+                file=sys.stderr,
+            )
+        write_stoplist(stoplist, out)
     print("stoplist %s: %d words -> %s" % (stoplist.name, len(stoplist), args.out))
     return 0
 
 
 def cmd_stoplist_combine(args) -> int:
-    _require_writable(args.out)
-    a = _resolve_stoplist(args.a)
-    b = _resolve_stoplist(args.b)
-    merged = combine(a, b, name=args.name)
-    write_stoplist(merged, args.out)
+    with atomic_write(args.out) as out:
+        merged = combine(_resolve_stoplist(args.a), _resolve_stoplist(args.b),
+                         name=args.name)
+        write_stoplist(merged, out)
     print("stoplist %s: %d words -> %s" % (merged.name, len(merged), args.out))
     return 0
 

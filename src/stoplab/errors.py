@@ -2,6 +2,7 @@
 that every reader and writer shares: each text file stoplab reads, and each
 file it writes, is opened here."""
 
+import errno
 import gzip
 import io
 import os
@@ -53,8 +54,8 @@ def read_text(source, role: str, encoding: str = "utf-8") -> str:
 def iter_lines(source, role: str):
     """Iterate ``(line number, line)`` from 1 over the text that
     :func:`read_text` reads from a path or an open file, split with
-    universal newlines.  A plain iterator, not a generator: runs are read
-    line by line."""
+    universal newlines: the reader of qrels, stoplists, configs and TSV
+    reports.  A plain iterator, not a generator."""
     return enumerate(io.StringIO(read_text(source, role), newline=None), start=1)
 
 
@@ -62,7 +63,11 @@ def iter_lines(source, role: str):
 def atomic_write(path, binary: bool = False):
     """Open a temporary file beside ``path`` for writing.  It replaces
     ``path`` only when the block completes, and is removed on any failure,
-    so ``path`` keeps its old bytes (or stays absent) until then."""
+    so ``path`` keeps its old bytes (or stays absent) until then.  A
+    ``path`` that cannot be written, a directory too, raises OSError naming
+    ``path`` before the block starts."""
+    if os.path.isdir(path):  # the temporary file would open, but not replace it
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
     tmp = "%s.%d.tmp" % (os.fspath(path), os.getpid())
     try:
         with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as f:

@@ -41,6 +41,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
 from itertools import accumulate, filterfalse, repeat
+from operator import lt
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +119,11 @@ class Index:
         doc_freqs: uint32 document frequency per term of ``terms``.
         pairs: uint32 array of ``(ordinal, tf)`` rows, one per posting,
             grouped by term in ``terms`` order, ordinals ascending.
-        postings: term -> its rows of ``pairs`` (a view of length df).
-        ctf: term -> collection frequency, derived on first use (only KL
-            and ``stoplist build`` read it).
+        bounds: int64 row bounds, ``doc_freqs`` summed once: term i's rows
+            are ``pairs[bounds[i]:bounds[i + 1]]``.
+        postings: term -> its rows of ``pairs``, derived on first use.
+        ctf: term -> collection frequency, derived on first use (only
+            ``stoplist build`` reads it).
         total_tokens: sum of all document lengths.
         stoplist: the list applied at build time, or None.
         strip_marks: whether diacritics/tatweel were stripped.
@@ -139,18 +142,15 @@ class Index:
         strip_marks: bool = True,
         stopwords_removed: int = 0,
     ):
-        ends = np.cumsum(doc_freqs, dtype=np.int64)
-        if len(doc_freqs) != len(terms) or (ends[-1] if len(ends) else 0) != len(pairs):
+        bounds = np.concatenate(([0], np.cumsum(doc_freqs, dtype=np.int64)))
+        if len(doc_freqs) != len(terms) or bounds[-1] != len(pairs):
             raise ValueError("postings table size mismatch")
-        starts = ends - doc_freqs
+        self.bounds = bounds
         self.docnos = docnos
         self.doc_lengths = doc_lengths
         self.terms = terms
         self.doc_freqs = doc_freqs
         self.pairs = pairs
-        self.postings = {
-            term: pairs[a:b] for term, a, b in zip(terms, starts.tolist(), ends.tolist())
-        }
         self.total_tokens = total_tokens
         self.stoplist = stoplist
         self.strip_marks = strip_marks
@@ -166,15 +166,20 @@ class Index:
 
     @property
     def vocabulary_size(self) -> int:
-        return len(self.postings)
+        return len(self.terms)
+
+    @cached_property
+    def postings(self) -> dict[str, np.ndarray]:
+        """term -> its rows of ``pairs``."""
+        b = self.bounds.tolist()
+        return {term: self.pairs[a:z] for term, a, z in zip(self.terms, b, b[1:])}
 
     @cached_property
     def ctf(self) -> dict[str, int]:
         """term -> collection frequency, the sum of the term's tfs."""
         if not self.terms:
             return {}
-        starts = np.cumsum(self.doc_freqs, dtype=np.int64) - self.doc_freqs
-        sums = np.add.reduceat(self.pairs[:, 1], starts, dtype=np.uint64)
+        sums = np.add.reduceat(self.pairs[:, 1], self.bounds[:-1], dtype=np.uint64)
         return dict(zip(self.terms, sums.tolist()))
 
     @cached_property
@@ -193,23 +198,33 @@ class Index:
         return len(self.postings.get(term, ()))
 
     def check(self) -> None:
-        """Verify the structural invariants; raises ValueError on breakage."""
-        n, terms = self.N, self.terms
+        """Verify the structural invariants; raises ValueError on breakage
+        (:class:`BadDocno` and :class:`DuplicateDocno` are ValueErrors)."""
+        n, terms, docnos = self.N, self.terms, self.docnos
         ordinals, tfs = self.pairs[:, 0], self.pairs[:, 1]
         if len(self.doc_lengths) != n:
             raise ValueError("doc table size mismatch")
+        # a run file splits its lines at whitespace, so a docno must be one
+        # field, and name one document; the slow path names the first fault
+        joined = "".join(docnos)  # holds whitespace where a docno does
+        if n and (not all(docnos) or joined.split() != [joined] or len(set(docnos)) != n):
+            first: dict[str, int] = {}
+            for i, docno in enumerate(docnos):
+                if docno.split() != [docno]:
+                    raise BadDocno(docno, i)
+                if first.setdefault(docno, i) != i:
+                    raise DuplicateDocno(docno, first[docno], i)
         if int(self.doc_lengths.sum(dtype=np.uint64)) != self.total_tokens:
             raise ValueError("sum of document lengths != total_tokens")
         if int(tfs.sum(dtype=np.uint64)) != self.total_tokens:
             raise ValueError("sum of collection frequencies != total_tokens")
-        if len(self.postings) != len(terms) or terms != sorted(terms):
+        if not all(map(lt, terms, terms[1:])):
             raise ValueError("terms not unique and sorted")
         if (self.doc_freqs < 1).any():
             raise ValueError("df < 1 for term %r" % terms[self.doc_freqs.argmin()])
-        ends = np.cumsum(self.doc_freqs, dtype=np.int64)
 
         def fault(row, what):
-            term = terms[np.searchsorted(ends, row, side="right")]
+            term = terms[np.searchsorted(self.bounds, row, side="right") - 1]
             raise ValueError("%s for term %r" % (what, term))
 
         if not len(ordinals):
@@ -221,7 +236,7 @@ class Index:
             fault((ordinals >= n).argmax(), "doc ordinal >= N")
         # rising ordinals below N also bound df by N
         falls = ordinals[1:] <= ordinals[:-1]  # falls[i]: row i + 1 does not rise
-        falls[ends[:-1] - 1] = False  # the first row of a term may fall
+        falls[self.bounds[1:-1] - 1] = False  # the first row of a term may fall
         if falls.any():
             fault(falls.argmax() + 1, "postings not sorted")
 
@@ -312,9 +327,9 @@ class Index:
         )
 
 
-class BadDocno(ParseError):
+class BadDocno(ParseError, ValueError):
     """A docno that a run file cannot hold, empty or with whitespace in it,
-    given to :func:`build_index`, with the document's ordinal."""
+    with the document's ordinal."""
 
     def __init__(self, docno: str, ordinal: int):
         what = "empty docno" if not docno else "docno %r contains whitespace" % docno
@@ -322,9 +337,9 @@ class BadDocno(ParseError):
         self.docno, self.ordinal = docno, ordinal
 
 
-class DuplicateDocno(ParseError):
-    """A docno given twice to :func:`build_index`, with the ordinals of both
-    documents, so a caller that knows their sources can name them."""
+class DuplicateDocno(ParseError, ValueError):
+    """A docno given twice, with the ordinals of both documents, so a
+    caller that knows their sources can name them."""
 
     def __init__(self, docno: str, first: int, again: int):
         super().__init__("duplicate docno %r" % docno)
@@ -341,7 +356,7 @@ def build_index(
 
     A docno that is empty or holds whitespace raises :class:`BadDocno`, and
     one given twice :class:`DuplicateDocno`, since a run file could not
-    hold them.
+    hold them; :meth:`Index.check` finds them once the documents are read.
 
     Documents are read one at a time, in input order, and split at
     whitespace into one stream of chunk ids.  The distinct chunks are
@@ -358,17 +373,13 @@ def build_index(
     chunk_table: defaultdict[str, int] = defaultdict()
     chunk_table.default_factory = chunk_table.__len__  # a new chunk gets the next id
     chunk_ids, chunk_counts = array("I"), array("I")
-    ordinal: dict[str, int] = {}
+    docnos: list[str] = []
     for docno, text in docs:
-        if docno.split() != [docno]:  # a run file splits its lines at whitespace
-            raise BadDocno(docno, len(ordinal))
-        if docno in ordinal:
-            raise DuplicateDocno(docno, ordinal[docno], len(ordinal))
-        ordinal[docno] = len(ordinal)
+        docnos.append(docno)
         chunks = text.split()
         chunk_counts.append(len(chunks))
         chunk_ids.extend(map(chunk_table.__getitem__, chunks))
-    n = len(ordinal)
+    n = len(docnos)
 
     batch, ends = tokenize_chunks(list(chunk_table), strip_marks)
     position = dict.fromkeys(batch, -1)  # token -> its index in terms, -1 for a stopword
@@ -411,7 +422,7 @@ def build_index(
     doc_freqs = np.bincount(keys // n, minlength=len(terms)).astype(np.uint32)
     pairs[:, 0] = keys % n
     index = Index(
-        docnos=list(ordinal),
+        docnos=docnos,
         doc_lengths=doc_lengths,
         terms=terms,
         doc_freqs=doc_freqs,

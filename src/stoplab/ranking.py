@@ -34,10 +34,11 @@ form:
     warning, since p(t|C) = 0 has no likelihood reading.
 
 Each model's weight for a query term splits into a document part, a
-float64 array over the term's postings that depends on the term, its tf
-and dl values and the model's parameters, and a query part, a float that
-depends on the term and its qtf; their product is the weight, bit for bit
-the expression above:
+float64 array over the term's postings that depends on their tf and dl
+values and the model's parameters, and a query part, a float that depends
+on the qtf and the term's df; their product is the weight, bit for bit
+the expression above.  A term's df is the number of its postings, and its
+ctf the sum of their tf, so no weight reads a per-term table:
 
     BM25:    (idf * doc tf saturation) * query tf saturation
     TF*IDF:  (bm25tf(tf, dl) * idf) * (qtf * idf)
@@ -180,24 +181,15 @@ def _doc_parts(index: Index, key: tuple) -> dict:
     return memo[1]
 
 
-def _memoized(parts: dict, name, compute) -> np.ndarray:
-    """``parts[name]``, computed and made read-only on first use."""
-    part = parts.get(name)
-    if part is None:
-        part = parts[name] = compute()
-        part.flags.writeable = False
-    return part
-
-
 def _rank(index: Index, query: Query, key: tuple, doc_weight, query_weight,
           top_k: int, tag: str, prior: np.ndarray | None = None) -> RankedRun:
     """The scoring core: for each query term the index holds, in sorted
-    order (so scores are bit-stable), add ``doc_weight(term, tf, dl)``
-    times ``query_weight(term, qtf)`` to the scores of its postings'
-    documents; the document part comes from the memo for ``key`` when the
-    term was weighed before.  Scores start at zero, and the candidates are
-    the matched documents; or, given a ``prior``, at the prior, and every
-    document is a candidate.  No match, an empty run.  A weight or score
+    order (so scores are bit-stable), add ``doc_weight(tf, dl)`` times
+    ``query_weight(qtf, df)`` to the scores of its postings' documents;
+    the document part, read-only, comes from the memo for ``key`` when
+    the term was weighed before.  Scores start at zero, and the candidates
+    are the matched documents; or, given a ``prior``, at the prior, and
+    every document is a candidate.  No match, an empty run.  A weight or score
     that overflows to infinity or NaN raises ValueError.
     """
     if top_k < 1:
@@ -211,9 +203,11 @@ def _rank(index: Index, query: Query, key: tuple, doc_weight, query_weight,
             if plist is None:
                 continue
             ordinals = plist[:, 0]
-            part = _memoized(parts, term, lambda: doc_weight(
-                term, plist[:, 1], index.doc_lengths[ordinals]))
-            scores[ordinals] += part * query_weight(term, query.terms[term])
+            part = parts.get(term)
+            if part is None:
+                part = parts[term] = doc_weight(plist[:, 1], index.doc_lengths[ordinals])
+                part.flags.writeable = False
+            scores[ordinals] += part * query_weight(query.terms[term], len(plist))
             matched[ordinals] = True
     if not matched.any():
         return RankedRun(query.qid, [], np.zeros(0), tag)
@@ -244,13 +238,13 @@ def score_bm25(
     n, avgdl = index.N, index.avgdl
     k1, b, k3 = params.k1, params.b, params.k3
 
-    def doc_weight(term, tf, dl):
-        df = index.df(term)
+    def doc_weight(tf, dl):
+        df = len(tf)
         idf = math.log((n - df + 0.5) / (df + 0.5))
         big_k = k1 * ((1.0 - b) + b * dl / avgdl)
         return idf * ((k1 + 1.0) * tf / (big_k + tf))
 
-    def query_weight(term, qtf):
+    def query_weight(qtf, df):
         return (k3 + 1.0) * qtf / (k3 + qtf)
 
     return _rank(index, query, ("BM25", params), doc_weight, query_weight, top_k, tag)
@@ -268,12 +262,12 @@ def score_tfidf(
     n, avgdl = index.N, index.avgdl
     k1, b = params.k1, params.b
 
-    def doc_weight(term, tf, dl):
+    def doc_weight(tf, dl):
         denom = tf + k1 * ((1.0 - b) + b * dl / avgdl)
-        return (k1 * tf / denom) * math.log(n / index.df(term))
+        return (k1 * tf / denom) * math.log(n / len(tf))
 
-    def query_weight(term, qtf):
-        return qtf * math.log(n / index.df(term))
+    def query_weight(qtf, df):
+        return qtf * math.log(n / df)
 
     return _rank(index, query, ("TFIDF", params), doc_weight, query_weight, top_k, tag)
 
@@ -293,18 +287,18 @@ def score_kl_dirichlet(
     mu = params.mu
     qlen = 0
     for term, qtf in query.terms.items():
-        if index.ctf.get(term, 0) > 0:
+        if term in index.postings:  # every indexed term has ctf > 0
             qlen += qtf
         else:
             logger.warning(
                 "query %s: term %r absent from collection, dropped", query.qid, term
             )
 
-    def doc_weight(term, tf, dl):
-        p_coll = index.ctf[term] / index.total_tokens
+    def doc_weight(tf, dl):
+        p_coll = int(tf.sum(dtype=np.uint64)) / index.total_tokens  # ctf / |C|
         return _per_distinct(lambda t: math.log(1.0 + t / (mu * p_coll)), tf)
 
-    def query_weight(term, qtf):
+    def query_weight(qtf, df):
         return float(qtf)
 
     def length_prior(dl):
@@ -315,11 +309,12 @@ def score_kl_dirichlet(
                              "document length %d; use a larger mu" % (mu, dl)) from None
 
     key = ("KL", params)
-    # the length prior sits in the memo beside the terms, under None
-    length_part = _memoized(_doc_parts(index, key), None, lambda: _per_distinct(
-        length_prior, index.doc_lengths))
+    parts = _doc_parts(index, key)
+    if None not in parts:  # the length prior sits in the memo beside the terms
+        parts[None] = _per_distinct(length_prior, index.doc_lengths)
+        parts[None].flags.writeable = False
     return _rank(index, query, key, doc_weight, query_weight, top_k, tag,
-                 qlen * length_part)
+                 qlen * parts[None])
 
 
 SCORERS = {

@@ -32,8 +32,14 @@ EXACT_LIMIT = 20
 
 def average_ranks(values) -> np.ndarray:
     """Ranks 1..n of a one-dimensional sample, ties getting the mean of the
-    ranks they span: a stable sort, the start of each tie group, then each
-    group's first and last rank averaged."""
+    ranks they span."""
+    return _ranks_and_ties(values)[0]
+
+
+def _ranks_and_ties(values) -> tuple[np.ndarray, float]:
+    """The average ranks of a one-dimensional sample, and the sum of
+    t**3 - t over its tie groups of size t, from one stable sort: the start
+    of each tie group, then each group's first and last rank averaged."""
     a = np.asarray(values)
     order = np.argsort(a, kind="mergesort")
     inverse = np.empty(len(a), dtype=np.intp)
@@ -42,7 +48,8 @@ def average_ranks(values) -> np.ndarray:
     starts = np.r_[True, ordered[1:] != ordered[:-1]]
     dense = np.cumsum(starts)[inverse]
     count = np.r_[np.flatnonzero(starts), len(a)]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    sizes = np.diff(count).astype(float)
+    return 0.5 * (count[dense] + count[dense - 1] + 1), float(np.sum(sizes**3 - sizes))
 
 
 def chi_square_upper_tail(x: float, df: int) -> float:
@@ -99,17 +106,12 @@ def friedman(matrix, labels: Sequence[str] | None = None) -> FriedmanResult:
     elif len(labels) != k:
         raise ValueError("need one label per treatment")
 
-    ranks = np.array([average_ranks(row) for row in m])
-    column_sums = ranks.sum(axis=0)
+    rows = [_ranks_and_ties(row) for row in m]
+    column_sums = np.array([ranks for ranks, _ in rows]).sum(axis=0)
     chi2 = (12.0 * float(np.sum(column_sums**2))) / (n * k * (k + 1)) - 3.0 * n * (
         k + 1
     )
-
-    tie_mass = 0.0
-    for row in m:
-        _, counts = np.unique(row, return_counts=True)
-        counts = counts.astype(float)
-        tie_mass += float(np.sum(counts**3 - counts))
+    tie_mass = sum(ties for _, ties in rows)
     correction = 1.0 - tie_mass / (n * k * (k * k - 1))
     if correction <= 0.0:
         chi2 = 0.0
@@ -174,13 +176,9 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
     return min(1.0, count / (2 ** len(doubled)))
 
 
-def _approx_two_sided_p(ranks: np.ndarray, statistic: float) -> float:
-    n = len(ranks)
+def _approx_two_sided_p(n: int, tie_mass: float, statistic: float) -> float:
     mean = n * (n + 1) / 4.0
-    variance = n * (n + 1) * (2 * n + 1) / 24.0
-    _, counts = np.unique(ranks, return_counts=True)
-    counts = counts.astype(float)
-    variance -= float(np.sum(counts**3 - counts)) / 48.0
+    variance = n * (n + 1) * (2 * n + 1) / 24.0 - tie_mass / 48.0
     z = (statistic - mean + 0.5) / math.sqrt(variance)
     # twice the normal CDF at z, 2 * 0.5 * erfc(-z / sqrt(2))
     return min(1.0, math.erfc(-z / math.sqrt(2.0)))
@@ -210,12 +208,12 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     n_used = len(nonzero)
     if n_used == 0:
         return WilcoxonResult(0, 0.0, 0.0, 0.0, 1.0, better, worse, tied)
-    ranks = average_ranks(np.abs(nonzero))
+    ranks, tie_mass = _ranks_and_ties(np.abs(nonzero))
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     statistic = min(w_plus, w_minus)
     if method == "exact" or (method == "auto" and n_used <= EXACT_LIMIT):
         p = _exact_two_sided_p(ranks, w_plus)
     else:
-        p = _approx_two_sided_p(ranks, statistic)
+        p = _approx_two_sided_p(n_used, tie_mass, statistic)
     return WilcoxonResult(n_used, w_plus, w_minus, statistic, p, better, worse, tied)

@@ -18,7 +18,7 @@ from stoplab.cli import (
     read_run_file,
     write_run,
 )
-from stoplab.errors import ParseError
+from stoplab.errors import ParseError, atomic_write
 from stoplab.index import Index
 from stoplab.ranking import RankedRun
 from stoplab.treceval import evaluate_run, parse_qrels
@@ -1221,6 +1221,31 @@ class TestUnwritableOutput:
         assert err.startswith("error: ") and err.endswith(": '%s'\n" % (tmp / target))
         assert err.count("\n") == 1
         assert sorted(tmp.rglob("*")) == before
+
+
+class TestOutputOpenedFirst:
+    """Each command opens its ``--out`` through ``atomic_write`` before it
+    reads an input."""
+
+    def test_index_written_into_its_own_corpus_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "c.sgml").write_text(TOY_SGML, encoding="utf-8")
+        out = corpus / "x.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert Index.load(out).docnos == ["D1", "D2", "D3"]
+        assert sorted(p.name for p in corpus.iterdir()) == ["c.sgml", "x.idx"]
+
+    def test_atomic_write_refuses_a_directory(self, tmp_path):
+        target = tmp_path / "adir"
+        target.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            with atomic_write(target):
+                pytest.fail("the block ran")
+        assert str(info.value).endswith(": '%s'" % target)
+        assert info.value.filename == str(target)
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
 
 
 class TestUpfrontValidation:

@@ -107,6 +107,34 @@ def sgml_streams(draw):
     return "".join(parts)
 
 
+# anything but "<", so only the writer's own tags are markup
+TEXT_CHARS = ARABIC + LATIN + PUNCTUATION + ">&;" + "".join(SEPARATORS)
+
+
+@st.composite
+def tipster_documents(draw):
+    """Up to five documents, as (docno, header, regions): distinct docnos
+    without whitespace, an optional HEADER, and one to three TEXT regions,
+    each a list of fragments that the writer splits with <P> tags."""
+    docnos = draw(st.lists(st.text(st.sampled_from(ARABIC + LATIN + "-."),
+                                   min_size=1, max_size=6), unique=True, max_size=5))
+    fragments = st.lists(st.text(st.sampled_from(TEXT_CHARS), max_size=12),
+                         min_size=1, max_size=3)
+    return [(docno, draw(st.none() | st.text(st.sampled_from(TEXT_CHARS), max_size=8)),
+             draw(st.lists(fragments, min_size=1, max_size=3))) for docno in docnos]
+
+
+def write_tipster(docs, gap: str = "\n") -> str:
+    """Well-formed TIPSTER SGML of :func:`tipster_documents` output, with
+    ``gap`` after each block, DOCNO, HEADER and TEXT region."""
+    return "".join(
+        "<DOC>%s<DOCNO> %s </DOCNO>%s%s%s</DOC>%s" % (
+            gap, docno, gap,
+            "" if header is None else "<HEADER>%s</HEADER>%s" % (header, gap),
+            "".join("<TEXT>%s</TEXT>%s" % ("<P>".join(r), gap) for r in regions), gap)
+        for docno, header, regions in docs)
+
+
 def parsed(parser, text):
     """The pairs ``parser`` yields from ``text``, and the message of the
     ParseError that stopped it, or None."""
@@ -181,6 +209,14 @@ class TestParseTrecDocuments:
             assert error == "s.sgml: unterminated <DOC> block at offset %d" % start
             assert text.find("<DOC>", start + 5, text.find("</DOC>", start)) != -1
             assert want[:len(pairs)] == pairs
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(tipster_documents(), st.sampled_from(["", "\n", " \r\n"]))
+    def test_written_documents_read_back(self, docs, gap):
+        pairs = [(docno, "\n".join(" ".join(r) for r in regions))
+                 for docno, _, regions in docs]
+        assert list(parse_trec_documents(write_tipster(docs, gap), "s.sgml")) == pairs
 
 
 class TestBuildIndex:
@@ -525,3 +561,40 @@ class TestCheck:
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
         with pytest.raises(ParseError, match="corrupt index file: sum"):
             Index.load(io.BytesIO(bytes(blob)))
+
+    @pytest.mark.parametrize("docnos, message", [
+        (["D1", "D1", "D3"], "duplicate docno 'D1'"),
+        (["D1", "D 2", "D3"], "docno 'D 2' contains whitespace"),
+        (["D1", "", "D3"], "empty docno"),
+    ], ids=["duplicate", "space", "empty"])
+    def test_docno_a_run_file_cannot_hold_refused_at_load(self, tmp_path, capsys,
+                                                           docnos, message):
+        idx = build_index(TOY_DOCS)
+        idx.docnos = docnos  # the file's checksum is valid, its docnos are not
+        path = tmp_path / "t.idx"
+        idx.save(path)
+        want = "%s: corrupt index file: %s" % (path, message)
+        with pytest.raises(ParseError, match="^%s$" % re.escape(want)):
+            Index.load(path)
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num>1</num><title>b</title></top>", encoding="utf-8")
+        run = tmp_path / "t.run"
+        capsys.readouterr()
+        assert main(["search", "--index", str(path), "--topics", str(topics),
+                     "--out", str(run)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % want
+        assert not run.exists()
+
+    def test_first_docno_fault_named(self):
+        with pytest.raises(ValueError, match="^docno 'D 2' contains whitespace$"):
+            self.broken(docnos=["D1", "D 2", "D1"]).check()
+
+
+class TestDerivedTables:
+    """The per-term dicts are built on first use, not by a build or load."""
+
+    def test_build_and_load_make_no_per_term_dict(self):
+        idx = build_index(TOY_DOCS)
+        for index in (idx, Index.load(io.BytesIO(serialized(idx)))):
+            assert "postings" not in vars(index) and "ctf" not in vars(index)
+            assert index.vocabulary_size == 3

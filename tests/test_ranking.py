@@ -280,6 +280,14 @@ def search_sequences(draw):
     return docs, stoplist, strip_marks, steps
 
 
+class TestCollectionStatistics:
+    def test_kl_search_derives_no_ctf_table(self):
+        idx = toy_index()
+        run = score_kl_dirichlet(idx, Query.from_text("q", "b c z"))
+        assert run.docnos
+        assert "ctf" not in vars(idx)
+
+
 class TestMemo:
     """The memo of document parts on an index never changes a run."""
 
