@@ -113,14 +113,17 @@ def _merged(args, key: str, convert, default):
 # -- shared file helpers ----------------------------------------------------
 
 
-def _expand_paths(paths: list[str]) -> list[str]:
+def _expand_paths(paths: list[str], out_path: str) -> list[str]:
+    """The files of ``paths``, directories walked, less ``out_path``."""
+    skip = os.path.realpath(out_path)
     out: list[str] = []
     for p in paths:
         if os.path.isdir(p):
             before = len(out)
             for root, dirs, files in os.walk(p):
                 dirs.sort()
-                out.extend(os.path.join(root, name) for name in sorted(files))
+                names = (os.path.join(root, name) for name in sorted(files))
+                out.extend(path for path in names if os.path.realpath(path) != skip)
             if len(out) == before:
                 raise ParseError("%s: no corpus files" % p)
         else:
@@ -195,16 +198,24 @@ def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
 # -- run files ---------------------------------------------------------------
 
 
+_rank_strings: tuple[str, ...] = ()  # "1", "2", ...: the longest run's ranks so far
+
+
 def write_run(run: RankedRun, out) -> None:
     """Write a run's lines, ``qid Q0 docno rank score tag``, with one
     ``%`` call: the line format repeated once per line, over the columns
-    interleaved into one tuple."""
+    interleaved into one tuple.  The ranks are cached strings; a longer
+    run binds a new tuple, so a concurrent writer keeps the one it read."""
+    global _rank_strings
     n = len(run.docnos)
-    line = "%s Q0 %%s %%d %%.6f %s\n" % (run.qid.replace("%", "%%"),
+    ranks = _rank_strings
+    if len(ranks) < n:
+        ranks = _rank_strings = tuple(map(str, range(1, n + 1)))
+    line = "%s Q0 %%s %%s %%.6f %s\n" % (run.qid.replace("%", "%%"),
                                          run.tag.replace("%", "%%"))
     values = [None] * (3 * n)
     values[0::3] = run.docnos
-    values[1::3] = range(1, n + 1)
+    values[1::3] = ranks[:n]
     values[2::3] = run.scores.tolist()
     out.write(line * n % tuple(values))
 
@@ -426,8 +437,8 @@ def cmd_index(args) -> int:
     keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
     # corpus directories are listed before the output's temporary file
-    # opens, since it may lie in one of them
-    paths = _expand_paths(corpus)
+    # opens, since it may lie in one of them, as the output itself may
+    paths = _expand_paths(corpus, out_path)
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():

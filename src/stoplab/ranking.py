@@ -34,27 +34,29 @@ form:
     warning, since p(t|C) = 0 has no likelihood reading.
 
 Each model's weight for a query term splits into a document part, a
-float64 array over the term's postings that depends on their tf and dl
-values and the model's parameters, and a query part, a float that depends
-on the qtf and the term's df; their product is the weight, bit for bit
-the expression above.  A term's df is the number of its postings, and its
-ctf the sum of their tf, so no weight reads a per-term table:
+float64 array over the term's postings that depends on their tf, a factor
+per document (K for BM25, its TF*IDF twin, ln(mu / (mu + dl)) for KL) and
+the parameters, and a query part, a float that depends on the qtf and the
+term's df; their product is the weight, bit for bit the expression above.
+A term's df is the number of its postings, and its ctf the sum of their
+tf, so no weight reads a per-term table:
 
     BM25:    (idf * doc tf saturation) * query tf saturation
     TF*IDF:  (bm25tf(tf, dl) * idf) * (qtf * idf)
     KL:      ln(1 + tf / (mu * p(t|C))) * qtf
 
-The models share one scoring core, which adds each query term's weight
-into document scores in sorted-term order and then ranks; KL also starts
-every document at its length term, |q| times ln(mu / (mu + dl)).  BM25
-and TF*IDF rank only the documents containing a query term.
+The models share one scoring core.  It adds a query's weights into
+document scores with one scatter (``np.bincount``), term after term in
+sorted-term order, which sums each document's weights in that order from
+0.0.  KL's length term goes first, as a term every document holds, |q|
+times the factor; so for every model the candidates are the documents
+the scatter counts.
 
-A search weighs each term's postings once.  The core keeps a memo on the
-index of each term's document part, keyed by model name and parameters;
-KL keeps its ln(mu / (mu + dl)) array there too.  The memo holds one key
-at a time, so it grows to at most one float64 per posting of the terms
-queried since the key last changed (plus one per document for KL), and
-it is freed with the index.
+A search weighs each document, and each term's postings, once per model
+and parameters: the index keeps a memo, keyed by both, of the factors
+and each term's document part.  It holds one key at a time, one float64
+per document plus one per posting of the terms queried since the key
+last changed, and is freed with the index.
 
 A run is two columns, docnos and scores, ordered by descending score with
 ties broken by docno ascending; a document's rank is its position plus
@@ -171,47 +173,53 @@ def _per_distinct(f, values: np.ndarray) -> np.ndarray:
     return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
 
 
-def _doc_parts(index: Index, key: tuple) -> dict:
-    """The memo of document parts on ``index`` for ``key``, (model name,
-    params): term -> read-only float64 array over the term's postings.  A
-    new key replaces the memo of the old one."""
+def _doc_parts(index: Index, key: tuple, per_document) -> dict:
+    """The memo on ``index`` for ``key``, (model name, params), all of it
+    read-only: None -> ``per_document(doc_lengths)``, and term -> its
+    document part.  A new key replaces the memo of the old one."""
     memo = getattr(index, "_doc_parts", None)
     if memo is None or memo[0] != key:
-        memo = index._doc_parts = (key, {})
+        factor = per_document(index.doc_lengths)
+        factor.flags.writeable = False
+        memo = index._doc_parts = (key, {None: factor})
     return memo[1]
 
 
-def _rank(index: Index, query: Query, key: tuple, doc_weight, query_weight,
-          top_k: int, tag: str, prior: np.ndarray | None = None) -> RankedRun:
-    """The scoring core: for each query term the index holds, in sorted
-    order (so scores are bit-stable), add ``doc_weight(tf, dl)`` times
-    ``query_weight(qtf, df)`` to the scores of its postings' documents;
-    the document part, read-only, comes from the memo for ``key`` when
-    the term was weighed before.  Scores start at zero, and the candidates
-    are the matched documents; or, given a ``prior``, at the prior, and
-    every document is a candidate.  No match, an empty run.  A weight or score
-    that overflows to infinity or NaN raises ValueError.
+def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
+          query_weight, top_k: int, tag: str, prior: bool = False) -> RankedRun:
+    """The scoring core.  Each query term the index holds, in sorted order
+    (so scores are bit-stable), weighs its postings ``doc_weight(tf,
+    factor[ordinals])`` times ``query_weight(qtf, df)``, ``factor`` the
+    memo's per-document array, and the memo keeps each document part.
+    Given a ``prior``, a first term that every document holds weighs |q|,
+    the qtf of those terms, times ``factor``.  One bincount adds all the
+    weights in that order, from 0.0; the candidates are the documents it
+    counts.  No term, an empty run.  A non-finite score raises ValueError.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    parts = _doc_parts(index, key)
-    scores = np.zeros(index.N) if prior is None else prior
-    matched = np.zeros(index.N, dtype=bool)
+    ordinals, weights, qlen = [], [], 0
     with np.errstate(all="ignore"):  # a non-finite score is refused below
-        for term in sorted(query.terms):
+        parts = _doc_parts(index, key, per_document)
+        for term, qtf in sorted(query.terms.items()):
             plist = index.postings.get(term)
             if plist is None:
                 continue
-            ordinals = plist[:, 0]
             part = parts.get(term)
             if part is None:
-                part = parts[term] = doc_weight(plist[:, 1], index.doc_lengths[ordinals])
+                part = parts[term] = doc_weight(plist[:, 1], parts[None][plist[:, 0]])
                 part.flags.writeable = False
-            scores[ordinals] += part * query_weight(query.terms[term], len(plist))
-            matched[ordinals] = True
-    if not matched.any():
-        return RankedRun(query.qid, [], np.zeros(0), tag)
-    candidates = np.flatnonzero(matched) if prior is None else np.arange(index.N)
+            ordinals.append(plist[:, 0])
+            weights.append(part * query_weight(qtf, len(plist)))
+            qlen += qtf
+        if not ordinals:
+            return RankedRun(query.qid, [], np.zeros(0), tag)
+        if prior:
+            ordinals.insert(0, np.arange(index.N))
+            weights.insert(0, qlen * parts[None])
+        ordinals = np.concatenate(ordinals, dtype=np.intp)
+        scores = np.bincount(ordinals, np.concatenate(weights), index.N)
+    candidates = np.flatnonzero(np.bincount(ordinals, minlength=index.N))
     values = scores[candidates]
     if not np.isfinite(values).all():
         raise ValueError("query %s: the %s weights overflow to a non-finite score; "
@@ -238,16 +246,16 @@ def score_bm25(
     n, avgdl = index.N, index.avgdl
     k1, b, k3 = params.k1, params.b, params.k3
 
-    def doc_weight(tf, dl):
+    def doc_weight(tf, big_k):
         df = len(tf)
         idf = math.log((n - df + 0.5) / (df + 0.5))
-        big_k = k1 * ((1.0 - b) + b * dl / avgdl)
         return idf * ((k1 + 1.0) * tf / (big_k + tf))
 
     def query_weight(qtf, df):
         return (k3 + 1.0) * qtf / (k3 + qtf)
 
-    return _rank(index, query, ("BM25", params), doc_weight, query_weight, top_k, tag)
+    return _rank(index, query, ("BM25", params), lambda dl: k1 * ((1.0 - b) + b * dl / avgdl),
+                 doc_weight, query_weight, top_k, tag)
 
 
 def score_tfidf(
@@ -262,14 +270,14 @@ def score_tfidf(
     n, avgdl = index.N, index.avgdl
     k1, b = params.k1, params.b
 
-    def doc_weight(tf, dl):
-        denom = tf + k1 * ((1.0 - b) + b * dl / avgdl)
-        return (k1 * tf / denom) * math.log(n / len(tf))
+    def doc_weight(tf, length):
+        return (k1 * tf / (tf + length)) * math.log(n / len(tf))
 
     def query_weight(qtf, df):
         return qtf * math.log(n / df)
 
-    return _rank(index, query, ("TFIDF", params), doc_weight, query_weight, top_k, tag)
+    return _rank(index, query, ("TFIDF", params), lambda dl: k1 * ((1.0 - b) + b * dl / avgdl),
+                 doc_weight, query_weight, top_k, tag)
 
 
 def score_kl_dirichlet(
@@ -285,16 +293,13 @@ def score_kl_dirichlet(
     of ln prod p(t|d)^qtf with p(t|d) = (tf + mu*p(t|C)) / (dl + mu).
     """
     mu = params.mu
-    qlen = 0
-    for term, qtf in query.terms.items():
-        if term in index.postings:  # every indexed term has ctf > 0
-            qlen += qtf
-        else:
+    for term in query.terms:
+        if term not in index.postings:  # every indexed term has ctf > 0
             logger.warning(
                 "query %s: term %r absent from collection, dropped", query.qid, term
             )
 
-    def doc_weight(tf, dl):
+    def doc_weight(tf, prior):
         p_coll = int(tf.sum(dtype=np.uint64)) / index.total_tokens  # ctf / |C|
         return _per_distinct(lambda t: math.log(1.0 + t / (mu * p_coll)), tf)
 
@@ -308,13 +313,9 @@ def score_kl_dirichlet(
             raise ValueError("mu %r is too small: mu / (mu + dl) underflows to 0 at "
                              "document length %d; use a larger mu" % (mu, dl)) from None
 
-    key = ("KL", params)
-    parts = _doc_parts(index, key)
-    if None not in parts:  # the length prior sits in the memo beside the terms
-        parts[None] = _per_distinct(length_prior, index.doc_lengths)
-        parts[None].flags.writeable = False
-    return _rank(index, query, key, doc_weight, query_weight, top_k, tag,
-                 qlen * parts[None])
+    return _rank(index, query, ("KL", params),
+                 lambda dl: _per_distinct(length_prior, dl),
+                 doc_weight, query_weight, top_k, tag, prior=True)
 
 
 SCORERS = {

@@ -150,6 +150,40 @@ def kl_rank_equiv_scores(docs, query_terms, mu=2000.0):
     return scores
 
 
+def sequential_scores(model, docs, query_terms, k1=None, b=None, k3=None, mu=None):
+    """Document -> score as the engine must compute it, bit for bit: one
+    Python-float addition per posting, in sorted-term order, from 0.0, or
+    for KL from |q| * ln(mu / (mu + dl)); each weight a document part times
+    a query part, written as ``ranking.py`` writes them.  ``model`` is
+    "BM25", "TFIDF" or "KL"; the candidates are the engine's."""
+    tf, dl, n, total, avgdl, df, ctf = corpus_stats(docs)
+    kept = sorted(t for t in query_terms if df[t])
+    if not kept:
+        return {}
+    scores = {}
+    if model == "KL":
+        qlen = sum(query_terms[t] for t in kept)
+        scores = {docno: qlen * math.log(mu / (mu + dl[docno])) for docno in tf}
+    for term in kept:
+        qtf, n_t = query_terms[term], df[term]
+        for docno, counts in tf.items():
+            t = counts.get(term, 0)
+            if not t:
+                continue
+            if model == "BM25":
+                big_k = k1 * ((1.0 - b) + b * dl[docno] / avgdl)
+                idf = math.log((n - n_t + 0.5) / (n_t + 0.5))
+                w = (idf * ((k1 + 1.0) * t / (big_k + t))) * ((k3 + 1.0) * qtf / (k3 + qtf))
+            elif model == "TFIDF":
+                length = k1 * ((1.0 - b) + b * dl[docno] / avgdl)
+                w = ((k1 * t / (t + length)) * math.log(n / n_t)) * (qtf * math.log(n / n_t))
+            else:
+                p_coll = ctf[term] / total
+                w = math.log(1.0 + t / (mu * p_coll)) * float(qtf)
+            scores[docno] = scores.get(docno, 0.0) + w
+    return scores
+
+
 def kl_loglikelihood_scores(docs, query_terms, mu=2000.0):
     """Exhaustive smoothed query likelihood ln prod p(t|d)^qtf."""
     tf, dl, _, total, _, _, ctf = corpus_stats(docs)

@@ -2,6 +2,8 @@ import gzip
 import io
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import stoplab.cli
 from stoplab.cli import (
     _read_run_columns,
     _read_run_lines,
@@ -132,6 +135,18 @@ class TestIndexCommand:
                      "--model", "BM25"]) == 0
         out = capsys.readouterr().out
         assert out.split()[2] == "P"  # diacritized query matches diacritized doc
+
+    def test_output_in_corpus_directory_is_not_read_as_corpus(self, tmp_path,
+                                                               monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("c").mkdir()
+        Path("c/corpus.sgml").write_text(TOY_SGML, encoding="utf-8")
+        written = []
+        for _ in range(2):  # the second run finds the first one's index in c
+            assert main(["index", "--corpus", "c", "--out", "c/x.idx"]) == 0
+            written.append(Path("c/x.idx").read_bytes())
+        assert written[0] == written[1]
+        assert sorted(Path("c").iterdir()) == [Path("c/corpus.sgml"), Path("c/x.idx")]
 
     @pytest.mark.parametrize("files, message", [
         ((TOY_SGML, DUP_D1),
@@ -661,6 +676,42 @@ class TestWriteRun:
         for run in runs:
             oracles.write_run(run, expected)
         assert run_text(runs) == expected.getvalue()
+
+    def test_rank_strings_as_formatted_ranks(self, monkeypatch):
+        monkeypatch.setattr(stoplab.cli, "_rank_strings", ())
+        for n, qid, tag in [(3, "q1", "T"), (1500, "q2", "T"), (2, "%d%%", "a%s")]:
+            run = RankedRun(qid, ["D%d" % i for i in range(n)],
+                            np.linspace(1.0, -1.0, n), tag)
+            assert run_text([run]).splitlines(keepends=True) == [
+                "%s Q0 %s %d %.6f %s\n" % (qid, docno, rank, score, tag)
+                for rank, (docno, score) in enumerate(
+                    zip(run.docnos, run.scores.tolist()), start=1)]
+
+    def test_concurrent_writers_see_whole_rank_strings(self, monkeypatch):
+        # writers of different lengths race to grow the cache, emptied often
+        monkeypatch.setattr(stoplab.cli, "_rank_strings", ())
+        runs = [RankedRun("q", ["D%d" % i for i in range(n)], np.zeros(n), "T")
+                for n in (5, 300, 1200, 40, 700, 2, 1000, 90)]
+        expected = []
+        for run in runs:
+            oracles.write_run(run, out := io.StringIO())
+            expected.append(out.getvalue())
+
+        def writer(i):
+            for j in range(200):
+                if j % 4 == i % 4:
+                    stoplab.cli._rank_strings = ()
+                assert run_text([runs[i]]) == expected[i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(runs)) as pool:
+                futures = [pool.submit(writer, i) for i in range(len(runs))]
+                for future in futures:
+                    future.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCompareCommand:

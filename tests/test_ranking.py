@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -260,6 +261,31 @@ class TestScorersAgainstOracles:
                 assert run.docnos == []
             elif scorer is score_kl_dirichlet:  # every document a candidate
                 assert len(run.docnos) == min(idx.N, top_k)
+
+
+class TestExactScores:
+    """Every run's scores are, bit for bit, per-posting sums in sorted-term
+    order (KL's from its length term), as a plain Python loop adds them."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(search=searches())
+    # BM25's idf of "a" is exactly 0: N = 2, df = 1
+    @example(search=([("D1", "a b"), ("D2", "b")], None, True, "a b a", DEFAULTS))
+    def test_scores_equal_sequential_sums(self, search):
+        docs, stoplist, strip_marks, text, per_model = search
+        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        stopwords = stoplist.words if stoplist else frozenset()
+        token_docs = [(docno, [t for t in tokenize(normalize(body, strip_marks))
+                               if t not in stopwords]) for docno, body in docs]
+        for model, (scorer, _, _), (params, top_k) in zip(
+                ["BM25", "TFIDF", "KL"], MODELS, per_model):
+            run = scorer(idx, query, params, top_k=top_k)
+            expected = oracles.sequential_scores(model, token_docs, query.terms,
+                                                 **asdict(params))
+            assert run.docnos == oracles.ranking_of(expected)[:top_k]
+            want = np.array([expected[docno] for docno in run.docnos], dtype=np.float64)
+            assert run.scores.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @st.composite
