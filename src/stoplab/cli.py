@@ -41,7 +41,7 @@ from .ranking import (
     SCORERS,
     TFIDFParams,
 )
-from .sigtest import friedman, wilcoxon_signed_rank
+from .sigtest import friedman, left_sum, wilcoxon_signed_rank
 from .stoplists import Stoplist, build_corpus_stoplist, combine, load_stoplist
 from .treceval import (
     CUTOFF_LEVELS,
@@ -569,7 +569,7 @@ def cmd_compare(args) -> int:
 
     def mean_precision(rows: dict[str, dict[str, float]]) -> float:
         values = [r["ap"] for r in rows.values() if r["num_relevant"] > 0]
-        return sum(values) / len(values) if values else 0.0
+        return left_sum(values) / len(values) if values else 0.0
 
     result = friedman(matrix, labels=tags)
     order = sorted(range(len(tags)), key=lambda j: result.mean_ranks[j])

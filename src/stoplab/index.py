@@ -40,7 +40,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
-from itertools import accumulate, filterfalse, repeat
+from itertools import accumulate, filterfalse
 from operator import lt
 from pathlib import Path
 
@@ -113,6 +113,7 @@ class Index:
     Attributes:
         docnos: document identifier per ordinal.
         docno_array: ``docnos`` as an object array, derived on first use.
+        docnos_ascend: whether ``docnos`` strictly ascend, found once.
         doc_lengths: uint32 token count per ordinal (post-normalization and
             stoplist).
         terms: the vocabulary in sorted order.
@@ -188,8 +189,15 @@ class Index:
         return np.array(self.docnos, dtype=object)
 
     @cached_property
+    def docnos_ascend(self) -> bool:
+        """Whether ``docnos`` strictly ascend, so are distinct and ranked."""
+        return all(map(lt, self.docnos, self.docnos[1:]))
+
+    @cached_property
     def docno_rank(self) -> np.ndarray:
         """Position of each ordinal's docno in ascending docno order."""
+        if self.docnos_ascend:
+            return np.arange(self.N, dtype=np.int64)
         rank = np.empty(self.N, dtype=np.int64)
         rank[sorted(range(self.N), key=self.docnos.__getitem__)] = np.arange(self.N)
         return rank
@@ -207,7 +215,8 @@ class Index:
         # a run file splits its lines at whitespace, so a docno must be one
         # field, and name one document; the slow path names the first fault
         joined = "".join(docnos)  # holds whitespace where a docno does
-        if n and (not all(docnos) or joined.split() != [joined] or len(set(docnos)) != n):
+        if n and (not all(docnos) or joined.split() != [joined]
+                  or not (self.docnos_ascend or len(set(docnos)) == n)):
             first: dict[str, int] = {}
             for i, docno in enumerate(docnos):
                 if docno.split() != [docno]:
@@ -311,8 +320,8 @@ class Index:
         sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
         doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
         meta = json.loads(bytes(sections[3]).decode("utf-8"))
-        if not all(map(isinstance, meta["docnos"] + meta["terms"], repeat(str))):
-            raise ValueError("docnos and terms must be strings")
+        for strings in (meta["docnos"], meta["terms"]):
+            "".join(strings)  # raises TypeError, at C speed, on a non-string
         s = meta["stoplist"]
         return cls(
             docnos=meta["docnos"],

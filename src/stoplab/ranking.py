@@ -49,8 +49,8 @@ The models share one scoring core.  It adds a query's weights into
 document scores with one scatter (``np.bincount``), term after term in
 sorted-term order, which sums each document's weights in that order from
 0.0.  KL's length term goes first, as a term every document holds, |q|
-times the factor; so for every model the candidates are the documents
-the scatter counts.
+times the factor, so every document is a KL candidate; BM25's and
+TF*IDF's are the documents that hold a query term.
 
 A search weighs each document, and each term's postings, once per model
 and parameters: the index keeps a memo, keyed by both, of the factors
@@ -78,6 +78,7 @@ from .textpipe import normalize, tokenize
 logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 1000
+_TABLE_LIMIT = 1 << 20  # values per table in _per_distinct, 8 MB of float64
 
 
 @dataclass(frozen=True)
@@ -167,10 +168,16 @@ class RankedRun:
 
 
 def _per_distinct(f, values: np.ndarray) -> np.ndarray:
-    """``f`` of every element, called once per distinct value on Python
-    numbers, so each result equals the scalar ``math`` computation."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+    """``f`` of every element of a non-negative int array, run once per
+    distinct value, ascending, on Python ints (so each result equals the
+    scalar ``math`` one), by a table indexed by value; past the limit, a sort."""
+    if len(values) and values.max() >= _TABLE_LIMIT:
+        distinct, inverse = np.unique(values, return_inverse=True)
+        return np.array([f(v) for v in distinct.tolist()], dtype=np.float64)[inverse]
+    table = np.bincount(values).astype(np.float64)  # 0.0 where no element has the value
+    distinct = np.flatnonzero(table)
+    table[distinct] = [f(v) for v in distinct.tolist()]
+    return table[values]
 
 
 def _doc_parts(index: Index, key: tuple, per_document) -> dict:
@@ -193,8 +200,9 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
     memo's per-document array, and the memo keeps each document part.
     Given a ``prior``, a first term that every document holds weighs |q|,
     the qtf of those terms, times ``factor``.  One bincount adds all the
-    weights in that order, from 0.0; the candidates are the documents it
-    counts.  No term, an empty run.  A non-finite score raises ValueError.
+    weights in that order, from 0.0.  The candidates: with a prior, every
+    document, else those holding a query term.  No term, an empty run.  A
+    non-finite score raises ValueError.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -219,8 +227,13 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
             weights.insert(0, qlen * parts[None])
         ordinals = np.concatenate(ordinals, dtype=np.intp)
         scores = np.bincount(ordinals, np.concatenate(weights), index.N)
-    candidates = np.flatnonzero(np.bincount(ordinals, minlength=index.N))
-    values = scores[candidates]
+    if prior:
+        candidates, values = np.arange(index.N), scores
+    else:
+        held = np.zeros(index.N, dtype=bool)
+        held[ordinals] = True
+        candidates = np.flatnonzero(held)
+        values = scores[candidates]
     if not np.isfinite(values).all():
         raise ValueError("query %s: the %s weights overflow to a non-finite score; "
                          "use smaller model parameters" % (query.qid, key[0]))

@@ -23,11 +23,19 @@ ranks are exact halves.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import reduce
+from operator import add
+from typing import Iterable, Sequence
 
 import numpy as np
 
 EXACT_LIMIT = 20
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Floats added left to right from 0.0, bit for bit ``sum`` before
+    Python 3.12 made its float sum compensated."""
+    return reduce(add, values, 0.0)
 
 
 def average_ranks(values) -> np.ndarray:
@@ -142,7 +150,7 @@ def friedman_chi2_from_mean_ranks(mean_ranks: Sequence[float], n: int) -> float:
     if n < 1:
         raise ValueError("need at least 1 subject")
     center = (k + 1) / 2.0
-    deviation = sum((r - center) ** 2 for r in mean_ranks)
+    deviation = left_sum((r - center) ** 2 for r in mean_ranks)
     return 12.0 * n * deviation / (k * (k + 1))
 
 

@@ -15,6 +15,7 @@ from itertools import accumulate, compress, count
 
 from .errors import ParseError, iter_lines, source_name
 from .ranking import RankedRun
+from .sigtest import left_sum
 
 CUTOFF_LEVELS = (5, 10, 15, 20, 30, 100, 200, 500, 1000)
 RECALL_LEVELS = tuple(i / 10 for i in range(11))
@@ -87,7 +88,7 @@ def evaluate_query(run: RankedRun, relevant: set[str]) -> QueryEval:
     hits = list(accumulate(flags, initial=0))  # relevant among the first r
     # precision at each rank that retrieves a relevant document, in order
     precision = [h / r for h, r in enumerate(compress(count(1), flags), start=1)]
-    average_precision = sum(precision) / num_relevant if num_relevant else 0.0
+    average_precision = left_sum(precision) / num_relevant if num_relevant else 0.0
     interp = tuple(
         max((p for h, p in enumerate(precision, start=1)
              if h / num_relevant >= level), default=0.0)
@@ -132,7 +133,7 @@ def evaluate_run(runs: Iterable[RankedRun], qrels: Qrels) -> EvalReport:
     count = len(included)
 
     def mean(values: Iterable[float]) -> float:
-        return sum(values) / count if count else 0.0
+        return left_sum(values) / count if count else 0.0
 
     mean_interp = tuple(
         mean(q.interp_precision[i] for q in included) for i in range(len(RECALL_LEVELS))

@@ -248,6 +248,15 @@ class TestBuildIndex:
         with pytest.raises(ParseError, match="D1"):
             build_index([("D1", "a"), ("D1", "b")])
 
+    @pytest.mark.parametrize("docnos, first, again", [
+        (["A", "A", "B"], 0, 1), (["B", "A", "B"], 0, 2), (["A", "B", "B"], 1, 2),
+    ])
+    def test_duplicate_docno_names_both_ordinals(self, docnos, first, again):
+        with pytest.raises(stoplab.index.DuplicateDocno) as info:
+            build_index([(docno, "a") for docno in docnos])
+        assert (info.value.docno, info.value.first, info.value.again) == (
+            docnos[again], first, again)
+
     @pytest.mark.parametrize("docno, message", [
         ("", "empty docno"), ("A 1", "docno 'A 1' contains whitespace"),
         ("A\t1", "docno 'A\\t1' contains whitespace"), (" A", "docno ' A' contains whitespace"),
@@ -584,6 +593,16 @@ class TestCheck:
                      "--out", str(run)]) == 2
         assert capsys.readouterr().err == "error: %s\n" % want
         assert not run.exists()
+
+    @pytest.mark.parametrize("field", ["docnos", "terms"])
+    def test_non_string_in_meta_refused_at_load(self, tmp_path, field):
+        idx = build_index([("D1", "a")])  # one term: no order check compares it
+        setattr(idx, field, [5])
+        path = tmp_path / "t.idx"
+        idx.save(path)  # a valid checksum over meta that holds an int
+        with pytest.raises(ParseError, match="^%s: corrupt index file: .*int"
+                                             % re.escape(str(path))):
+            Index.load(path)
 
     def test_first_docno_fault_named(self):
         with pytest.raises(ValueError, match="^docno 'D 2' contains whitespace$"):

@@ -13,6 +13,7 @@ from stoplab.ranking import (
     DirichletParams,
     Query,
     TFIDFParams,
+    _per_distinct,
     score_bm25,
     score_kl_dirichlet,
     score_tfidf,
@@ -163,6 +164,40 @@ class TestKLDirichlet:
         assert engine_ranking(run) == ["D1", "D2", "D3"]
 
 
+class TestPerDistinct:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(values=st.lists(st.integers(0, 10**6), max_size=40)
+           | st.lists(st.integers(0, 5), max_size=40)
+           | st.lists(st.integers(0, 2**32 - 1), max_size=40), strided=st.booleans())
+    @example(values=[], strided=False)
+    @example(values=[0, 0, 0], strided=True)
+    @example(values=[10**6, 3, 10**6, 0], strided=False)
+    @example(values=[2**32 - 1, 3, 0, 3], strided=True)  # past the table's limit
+    def test_equals_a_call_per_element(self, values, strided):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return math.log(1.0 + v / 7.3) - 0.1 * v
+
+        array = np.array(values, dtype=np.uint32)
+        if strided:  # a column of (ordinal, tf) rows, as the scorers pass it
+            array = np.stack([np.zeros_like(array), array], axis=1)[:, 1]
+        got = _per_distinct(f, array)
+        assert calls == sorted(set(values))  # once per value, ascending
+        assert all(type(v) is int for v in calls)
+        want = np.array([f(v) for v in values], dtype=np.float64)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    def test_kl_names_the_shortest_underflowing_length(self):
+        # mu / (mu + dl) rounds to 0 from dl = 2 on, for the smallest mu
+        idx = build_index([("D1", "a b c d e"), ("D2", "a"), ("D3", "a b c"),
+                           ("D4", "a b"), ("D5", "")])
+        with pytest.raises(ValueError, match="^mu 5e-324 is too small: .* at document "
+                                             "length 2; use a larger mu$"):
+            score_kl_dirichlet(idx, Query("1", {"a": 1}), DirichletParams(mu=5e-324))
+
+
 class TestOracleAgreement:
     """Engine output versus direct term-document-matrix evaluation."""
 
@@ -261,6 +296,45 @@ class TestScorersAgainstOracles:
                 assert run.docnos == []
             elif scorer is score_kl_dirichlet:  # every document a candidate
                 assert len(run.docnos) == min(idx.N, top_k)
+
+
+class TestCandidates:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(search=searches())
+    @example(search=([("D1", "a b"), ("D2", "b")], None, True, "a b a", DEFAULTS))
+    def test_full_run_holds_the_documents_with_a_query_term(self, search):
+        docs, stoplist, strip_marks, text, _ = search
+        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        holders = {docno for docno, body in docs
+                   if set(query.terms) & set(tokenize(normalize(body, strip_marks)))}
+        for scorer in (score_bm25, score_tfidf):
+            run = scorer(idx, query, top_k=idx.N + 1)
+            assert sorted(run.docnos) == sorted(holders)
+
+
+class TestDocnoOrder:
+    """Ranks and tie order do not depend on whether docnos ascend."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(corpus=corpora(), terms=st.lists(st.integers(0, 10), max_size=4))
+    @example(corpus=([("D2", "a"), ("D0", "a"), ("D1", "b")], None, True), terms=[0])
+    def test_ascending_and_permuted_docnos_rank_alike(self, corpus, terms):
+        docs, stoplist, strip_marks = corpus
+        words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+        query = Query("1", {words[i % len(words)]: 1 for i in terms} if words else {})
+        ascending = build_index(sorted(docs), stoplist=stoplist, strip_marks=strip_marks)
+        permuted = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        assert ascending.docnos_ascend
+        assert permuted.docnos_ascend == (permuted.docnos == ascending.docnos)
+        for idx in (ascending, permuted):
+            keyed = sorted(range(idx.N), key=idx.docnos.__getitem__)
+            assert idx.docno_rank[keyed].tolist() == list(range(idx.N))
+        for scorer in (score_bm25, score_tfidf, score_kl_dirichlet):
+            runs = [scorer(idx, query, top_k=idx.N + 1) for idx in (ascending, permuted)]
+            assert runs[0] == runs[1]
+            scores = dict(zip(runs[0].docnos, runs[0].scores.tolist()))
+            assert runs[0].docnos == oracles.ranking_of(scores)
 
 
 class TestExactScores:

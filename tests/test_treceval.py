@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stoplab.errors import ParseError
@@ -209,6 +209,42 @@ class TestEvaluateRun:
         assert triple.mean_average_precision == pytest.approx(
             single.mean_average_precision
         )
+
+
+def left_to_right(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class TestLeftToRightSums:
+    """AP and MAP add their terms left to right, as ``sum`` did before
+    Python 3.12, whose compensated float sum differs in the last bit on the
+    explicit examples; so reports are the same bytes on every Python."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(ranks=st.lists(st.integers(1, 60), unique=True, max_size=15).map(sorted),
+           unretrieved=st.integers(0, 3))
+    @example(ranks=[1, 9, 11, 14], unretrieved=0)
+    def test_average_precision_is_a_left_to_right_sum(self, ranks, unretrieved):
+        docnos = ["D%d" % r for r in range(1, max(ranks, default=0) + 1)]
+        relevant = {"D%d" % r for r in ranks} | {"U%d" % i for i in range(unretrieved)}
+        got = evaluate_query(run_of("1", docnos), relevant).average_precision
+        want = (left_to_right(h / r for h, r in enumerate(ranks, start=1)) / len(relevant)
+                if relevant else 0.0)
+        assert got.hex() == want.hex()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(firsts=st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    @example(firsts=[5, 2, 10])  # APs 0.2, 0.5 and 0.1
+    def test_mean_average_precision_is_a_left_to_right_sum(self, firsts):
+        runs = [run_of(str(q), ["D%d" % r for r in range(1, rank + 1)])
+                for q, rank in enumerate(firsts)]
+        qrels = {str(q): {"D%d" % rank} for q, rank in enumerate(firsts)}
+        got = evaluate_run(runs, qrels).mean_average_precision
+        want = left_to_right(1 / rank for rank in firsts) / len(firsts)
+        assert got.hex() == want.hex()
 
 
 class TestCommittedFixture:
