@@ -6,11 +6,11 @@ Subcommands: ``index``, ``search``, ``eval``, ``compare`` and ``stoplist``
 are derived automatically from the model and the stoplist recorded in the
 index.
 
-This module owns every file format that crosses the process boundary:
-TIPSTER SGML corpora (optionally gzipped, UTF-8 or CP1256), TREC topic
-files, TREC run files (``qid Q0 docno rank score tag``, scores printed with
-six decimals), qrels, stoplist files, and the plain-text and tab-separated
-evaluation reports.
+This module owns TREC topic files, TREC run files (``qid Q0 docno rank
+score tag``, scores printed with six decimals), ``key=value`` configs and
+the plain-text and tab-separated evaluation reports.  Corpora and index
+files are :mod:`stoplab.index`'s, qrels :mod:`stoplab.treceval`'s, stoplist
+files :mod:`stoplab.stoplists`'s; :mod:`stoplab.errors` opens every input.
 
 Exit codes: 0 success, 1 usage error, 2 data or parse error.
 """
@@ -30,7 +30,8 @@ from operator import ne
 import numpy as np
 
 from . import stoplists
-from .errors import ParseError, atomic_write, iter_lines, read_text, source_name
+from .errors import (ParseError, atomic_write, iter_lines, iter_records, read_text,
+                     source_name)
 from .index import BadDocno, DuplicateDocno, Index, build_index, parse_trec_documents
 from .ranking import (
     DEFAULT_TOP_K,
@@ -55,6 +56,7 @@ MODELS = ("TFIDF", "BM25", "KL")
 PARAMS = {"TFIDF": TFIDFParams, "BM25": BM25Params, "KL": DirichletParams}
 ENCODINGS = {"utf8": "utf-8", "cp1256": "cp1256"}
 SIGNIFICANCE_LEVEL = 0.05
+BUNDLED = ("GS", "CBS", "CS")  # stoplist codes that name no file
 
 
 class UsageError(Exception):
@@ -131,19 +133,19 @@ def _expand_paths(paths: list[str], out_path: str) -> list[str]:
     return out
 
 
-def _require_paths(*paths: str) -> None:
-    # fail before any work starts, naming the missing path
-    for p in paths:
-        if not os.path.exists(p):
-            raise ParseError("%s: no such file or directory" % p)
+def _check_out(out_path, *paths, lists=()) -> None:
+    """Refuse an ``out_path`` that would overwrite an input: one of ``paths``
+    (None where not given) or of the stoplist selections ``lists``."""
+    files = [*paths, *(s for s in lists if s not in ("none", *BUNDLED))]
+    if out_path and os.path.realpath(out_path) in {os.path.realpath(p) for p in files if p}:
+        raise UsageError("--out %s is also an input of this command" % out_path)
 
 
 def _resolve_stoplist(selection: str) -> Stoplist:
     if selection == "none":  # `index` checks for it first
         raise UsageError("'none' is only for index --stoplist; give GS, CBS, CS or a file")
-    if selection in ("GS", "CBS", "CS"):
+    if selection in BUNDLED:
         return stoplists.bundled(selection)
-    _require_paths(selection)
     name = os.path.splitext(os.path.basename(selection))[0]
     try:
         return load_stoplist(selection, name=name, provenance="custom")
@@ -234,19 +236,11 @@ def read_run_file(source) -> list[RankedRun]:
 
 
 def _read_run_lines(text: str, name: str) -> list[RankedRun]:
-    """Read a run line by line: lines end at ``\\n``, ``\\r\\n`` or ``\\r``,
-    fields split at any run of whitespace, blank lines are skipped, and one
-    query's lines may interleave with another's.  The only reader that
-    names a fault."""
+    """Read a run line by line, as :func:`~stoplab.errors.iter_records`
+    splits it; one query's lines may interleave with another's.  The only
+    run reader that names a fault."""
     columns: dict[str, tuple] = {}  # qid -> tag, docnos seen, docnos, ranks, scores
-    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 6:
-            raise ParseError("%s line %d: expected 6 fields, got %d"
-                             % (name, lineno, len(fields)))
-        qid, _, docno, rank_s, score_s, tag = fields
+    for lineno, (qid, _, docno, rank_s, score_s, tag) in iter_records(text, name, 6):
         try:
             rank = int(rank_s)
             score = float(score_s)
@@ -391,32 +385,37 @@ def write_report_tsv(report: EvalReport, tag: str, out) -> None:
 
 
 def read_report_tsv(path) -> tuple[str, dict[str, dict[str, float]]]:
-    """Read a per-query report back; returns (tag, qid -> {ap, num_relevant})."""
+    """Read a per-query report back; returns (tag, qid -> {ap, num_relevant}).
+    As ``write_report_tsv`` writes it, its first line is the header, and its
+    rows are one technique's, each query id once, then ``all``."""
     name = source_name(path, "report")
-    lines = iter_lines(path, name)
-    _, header = next(lines, (1, ""))
-    if header.rstrip("\n").split("\t")[: len(_TSV_COLUMNS)] != _TSV_COLUMNS:
+    text = read_text(path, name)
+    if next(io.StringIO(text, newline=None), "").rstrip("\n").split("\t") != _TSV_COLUMNS:
         raise ParseError("%s: not a recognized report file" % name)
+    records = iter_records(text, name, len(_TSV_COLUMNS), "\t")
+    next(records)  # the header
     tag = None
+    seen: set[str] = set()
     rows: dict[str, dict[str, float]] = {}
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        fields = line.rstrip("\n").split("\t")
-        if len(fields) != len(_TSV_COLUMNS):
-            raise ParseError("%s line %d: wrong field count" % (name, lineno))
+    for lineno, (row_tag, qid, relevant_s, _, _, ap_s, *_) in records:
         if tag is None:
-            tag = fields[0]
-        if fields[1] == "all":
+            tag = row_tag
+        elif row_tag != tag:
+            raise ParseError("%s line %d: technique tag %s differs from the first row's, %s"
+                             % (name, lineno, row_tag, tag))
+        if qid in seen:
+            raise ParseError("%s line %d: query %s repeats" % (name, lineno, qid))
+        seen.add(qid)
+        if qid == "all":
             continue
         try:
-            ap, num_relevant = float(fields[5]), int(fields[2])
+            ap, num_relevant = float(ap_s), int(relevant_s)
         except ValueError as exc:
             raise ParseError("%s line %d: %s" % (name, lineno, exc)) from None
         if not math.isfinite(ap):  # the rank tests need ordered values
             raise ParseError("%s line %d: average precision %s is not finite"
-                             % (name, lineno, fields[5]))
-        rows[fields[1]] = {"ap": ap, "num_relevant": num_relevant}
+                             % (name, lineno, ap_s))
+        rows[qid] = {"ap": ap, "num_relevant": num_relevant}
     if tag is None:
         raise ParseError("%s: report contains no rows" % name)
     return tag, rows
@@ -439,6 +438,7 @@ def cmd_index(args) -> int:
     # corpus directories are listed before the output's temporary file
     # opens, since it may lie in one of them, as the output itself may
     paths = _expand_paths(corpus, out_path)
+    _check_out(out_path, *paths, args.config, lists=[selection])
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():
@@ -451,7 +451,6 @@ def cmd_index(args) -> int:
                 raise ParseError("%s: no <DOC> blocks" % path)
 
     with atomic_write(out_path, binary=True) as out:
-        _require_paths(*paths)
         stoplist = None if selection == "none" else _resolve_stoplist(selection)
         try:
             index = build_index(documents(), stoplist=stoplist,
@@ -493,9 +492,9 @@ def cmd_search(args) -> int:
     top_k = _merged(args, "top_k", int, DEFAULT_TOP_K)
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
     out_path = _merged(args, "out", str, None)
+    _check_out(out_path, index_path, topics_path, args.config)
 
     with atomic_write(out_path) if out_path else nullcontext(sys.stdout) as out:
-        _require_paths(index_path, topics_path)
         index = Index.load(index_path)
         topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
         if not topics:  # empty, or not a topics file at all
@@ -524,6 +523,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out(args.out, args.run, args.qrels)
     # the TSV report is in place before the text report prints, so a
     # failed write prints nothing
     with atomic_write(args.out) if args.out else nullcontext() as out:
@@ -625,6 +625,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_stoplist_build(args) -> int:
+    _check_out(args.out, args.index, args.exclude)
     with atomic_write(args.out) as out:
         index = Index.load(args.index)
         exclusions: set[str] = set()
@@ -647,6 +648,7 @@ def cmd_stoplist_build(args) -> int:
 
 
 def cmd_stoplist_combine(args) -> int:
+    _check_out(args.out, lists=[args.a, args.b])
     with atomic_write(args.out) as out:
         merged = combine(_resolve_stoplist(args.a), _resolve_stoplist(args.b),
                          name=args.name)

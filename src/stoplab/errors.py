@@ -1,6 +1,6 @@
 """Input errors, the rule that names an input in them, and the file helpers
-that every reader and writer shares: each text file stoplab reads, and each
-file it writes, is opened here."""
+that every reader and writer shares: each file stoplab reads or writes is
+opened here, and each qrels, run and report line is split into fields here."""
 
 import errno
 import gzip
@@ -8,6 +8,7 @@ import io
 import os
 import zlib
 from contextlib import contextmanager
+from pathlib import Path
 
 
 class ParseError(Exception):
@@ -22,26 +23,36 @@ def source_name(source, role: str) -> str:
     return role if hasattr(source, "read") else os.fspath(source)
 
 
+def read_bytes(source, role: str):
+    """A path's raw bytes, or what an open file holds from where it stands:
+    the only place where stoplab opens an input path.  A path that cannot
+    be read raises :class:`ParseError` ``<path>: <reason>``."""
+    if hasattr(source, "read"):
+        return source.read()
+    try:
+        return Path(source).read_bytes()
+    except OSError as exc:
+        raise ParseError("%s: %s" % (source_name(source, role), exc.strerror)) from None
+
+
 def read_text(source, role: str, encoding: str = "utf-8") -> str:
     """Read a path, gunzipping names that end in ``.gz``, or an open text or
     binary file, to one string.  This is the only place where stoplab turns
-    bytes into text.  A damaged gzip file, or bytes that do not decode (an
-    open text file's own decoder included), raise :class:`ParseError`
-    naming the source."""
+    bytes into text.  A path that cannot be read, a damaged gzip file, or
+    bytes that do not decode (an open text file's own decoder included)
+    raise :class:`ParseError` naming the source."""
     name = source_name(source, role)
-    if hasattr(source, "read"):
-        try:
-            data = source.read()
-        except UnicodeDecodeError as exc:  # a text file: decode its bytes below
-            data, encoding = exc.object, getattr(source, "encoding", exc.encoding)
-    else:
-        try:
-            with (gzip.open if name.endswith(".gz") else open)(source, "rb") as f:
-                data = f.read()
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
+    try:
+        data = read_bytes(source, role)
+    except UnicodeDecodeError as exc:  # a text file: decode its bytes below
+        data, encoding = exc.object, getattr(source, "encoding", exc.encoding)
     if isinstance(data, str):
         return data
+    if name.endswith(".gz"):
+        try:
+            data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
     try:
         return data.decode(encoding)
     except UnicodeDecodeError as exc:
@@ -54,9 +65,23 @@ def read_text(source, role: str, encoding: str = "utf-8") -> str:
 def iter_lines(source, role: str):
     """Iterate ``(line number, line)`` from 1 over the text that
     :func:`read_text` reads from a path or an open file, split with
-    universal newlines: the reader of qrels, stoplists, configs and TSV
-    reports.  A plain iterator, not a generator."""
+    universal newlines: the reader of stoplists and configs.  A plain
+    iterator, not a generator."""
     return enumerate(io.StringIO(read_text(source, role), newline=None), start=1)
+
+
+def iter_records(text: str, name: str, width: int, sep: str | None = None):
+    """Yield ``(line number, fields)`` for each non-blank line of ``text``,
+    split as in :func:`iter_lines` and at ``sep`` (any whitespace by default).
+    A line of other than ``width`` fields raises :class:`ParseError`."""
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if not line.strip():
+            continue
+        fields = line.rstrip("\n").split(sep)
+        if len(fields) != width:
+            raise ParseError("%s line %d: expected %d fields, got %d"
+                             % (name, lineno, width, len(fields)))
+        yield lineno, fields
 
 
 @contextmanager

@@ -42,11 +42,10 @@ from contextlib import nullcontext
 from functools import cached_property
 from itertools import accumulate, filterfalse
 from operator import lt
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, atomic_write, source_name
+from .errors import ParseError, atomic_write, read_bytes, source_name
 from .stoplists import Stoplist
 from .textpipe import tokenize_chunks
 
@@ -287,10 +286,11 @@ class Index:
     @classmethod
     def load(cls, src) -> "Index":
         """Read an index written by :meth:`save` from a path or binary file
-        object.  Any damage to the file raises :class:`ParseError` naming
-        the path, or ``index`` for a file object."""
-        data = src.read() if hasattr(src, "read") else Path(src).read_bytes()
+        object, as it stands: a ``.gz`` name is not gunzipped.  A path that
+        cannot be read, or any damage to the file, raises :class:`ParseError`
+        naming the path, or ``index`` for a file object."""
         name = source_name(src, "index")
+        data = read_bytes(src, name)
         try:
             index = cls._decode(data, name)
             index.check()

@@ -13,7 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate, compress, count
 
-from .errors import ParseError, iter_lines, source_name
+from .errors import ParseError, iter_records, read_text, source_name
 from .ranking import RankedRun
 from .sigtest import left_sum
 
@@ -32,14 +32,7 @@ def parse_qrels(source) -> Qrels:
     """
     qrels: Qrels = {}
     name = source_name(source, "qrels")
-    for lineno, line in iter_lines(source, name):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 4:
-            raise ParseError("%s line %d: expected 4 fields, got %d"
-                             % (name, lineno, len(fields)))
-        qid, _, docno, rel = fields
+    for lineno, (qid, _, docno, rel) in iter_records(read_text(source, name), name, 4):
         try:
             rel_value = int(rel)
         except ValueError:

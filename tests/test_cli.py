@@ -2,6 +2,7 @@ import gzip
 import io
 import math
 import random
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -852,6 +853,71 @@ class TestCompareCommand:
             "error: %s line 3: average precision %s is not finite\n" % (b, value))
 
 
+def _report_row(tag, qid, ap):
+    return "\t".join([tag, qid, "1", "1", "1", ap] + ["0.5"] * 21) + "\n"
+
+
+class TestReportRows:
+    """A report is read back only as ``eval`` writes it: the exact header,
+    then one technique's rows, each query id once."""
+
+    HEADER = "\t".join(stoplab.cli._TSV_COLUMNS) + "\n"
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "r.tsv"
+        path.write_text(text, encoding="utf-8")
+        return str(path), lambda: read_report_tsv(str(path))
+
+    def test_rows_as_eval_writes_them(self, tmp_path):
+        _, read = self.read(tmp_path, self.HEADER + _report_row("T", "1", "0.1")
+                            + "\n" + _report_row("T", "2", "0.3")
+                            + _report_row("T", "all", "0.2"))
+        assert read() == ("T", {"1": {"ap": 0.1, "num_relevant": 1},
+                                "2": {"ap": 0.3, "num_relevant": 1}})
+
+    @pytest.mark.parametrize("rows, message", [
+        ([("T", "1", "0.1"), ("T", "1", "0.9"), ("T", "2", "0.3")],
+         "line 3: query 1 repeats"),
+        ([("T", "1", "0.1"), ("T", "all", "0.1"), ("T", "all", "0.1")],
+         "line 4: query all repeats"),
+        ([("T", "1", "0.1"), ("U", "2", "0.3")],
+         "line 3: technique tag U differs from the first row's, T"),
+        ([("T", "1", "0.1"), ("T", "2", "0.3"), ("U", "all", "0.2")],
+         "line 4: technique tag U differs from the first row's, T"),
+    ], ids=["repeated-qid", "repeated-all", "other-tag", "other-tag-all"])
+    def test_rows_eval_never_writes_are_refused(self, tmp_path, capsys, rows, message):
+        path, read = self.read(tmp_path, self.HEADER + "".join(
+            _report_row(*row) for row in rows))
+        with pytest.raises(ParseError) as info:
+            read()
+        assert str(info.value) == "%s %s" % (path, message)
+        other = tmp_path / "other.tsv"
+        other.write_text(self.HEADER + _report_row("V", "1", "0.5")
+                         + _report_row("V", "2", "0.5"), encoding="utf-8")
+        assert main(["compare", str(other), path, "--baseline", "V"]) == 2
+        assert capsys.readouterr() == ("", "error: %s %s\n" % (path, message))
+
+    @pytest.mark.parametrize("header", [
+        HEADER.replace("\n", "\textra\n"),
+        HEADER.replace("ap\t", "AP\t"),
+        "\n" + HEADER,
+        "1 Q0 D1 1 0.5 T\n",
+        "",
+    ], ids=["extra-column", "renamed-column", "blank-first-line", "run-line", "empty"])
+    def test_first_line_must_be_the_header(self, tmp_path, header):
+        path, read = self.read(tmp_path, header + _report_row("T", "1", "0.1"))
+        with pytest.raises(ParseError) as info:
+            read()
+        assert str(info.value) == "%s: not a recognized report file" % path
+
+    def test_row_width_message(self, tmp_path):
+        path, read = self.read(tmp_path, self.HEADER + _report_row("T", "1", "0.1")
+                               + "T\t2\t1\n")
+        with pytest.raises(ParseError) as info:
+            read()
+        assert str(info.value) == "%s line 3: expected 27 fields, got 3" % path
+
+
 class TestStoplistCommand:
     def test_inspect_bundled_overlap(self, capsys):
         rc = main(["stoplist", "inspect", "--list", "GS", "--other", "CBS"])
@@ -1313,6 +1379,128 @@ class TestUpfrontValidation:
                    "--stoplist", str(tmp / "ghost.txt")])
         assert rc == 2
         assert "ghost.txt" in capsys.readouterr().err
+
+
+# each command with every file input it reads, and its --out if it has one
+READING = {
+    "index": "index --corpus {corpus} --stoplist {stoplist} --config {config} "
+             "--out {out}",
+    "search": "search --index {index} --topics {topics} --config {config} --out {out}",
+    "eval": "eval --run {run} --qrels {qrels} --out {out}",
+    "compare": "compare {report} {report2} --baseline FIX",
+    "stoplist build": "stoplist build --index {index} --cutoff 1 --exclude {stoplist} "
+                      "--out {out}",
+    "stoplist combine": "stoplist combine --a {stoplist} --b {stoplist2} --out {out}",
+    "stoplist inspect": "stoplist inspect --list {stoplist} --other {stoplist2}",
+}
+INPUTS = [(command, name) for command, argv in READING.items()
+          for name in re.findall(r"{(\w+)}", argv) if name != "out"]
+
+
+@pytest.fixture
+def inputs(toy):
+    """A good file for each input name in ``READING``, and the output."""
+    tmp, corpus, topics = toy
+    files = {"corpus": corpus, "topics": topics, "index": tmp / "t.idx",
+             "run": tmp / "sample.run", "qrels": tmp / "sample.qrels",
+             "report": tmp / "a.tsv", "report2": tmp / "b.tsv",
+             "stoplist": tmp / "s.txt", "stoplist2": tmp / "s2.txt",
+             "config": tmp / "c.cfg", "out": tmp / "target.out"}
+    for name in ("run", "qrels"):
+        files[name].write_bytes((FIXTURES / files[name].name).read_bytes())
+    files["stoplist"].write_text("b\n", encoding="utf-8")
+    files["stoplist2"].write_text("c\n", encoding="utf-8")
+    files["config"].write_text("# no keys\n", encoding="utf-8")
+    other = tmp / "other.run"
+    other.write_text(files["run"].read_text().replace("FIX", "OTHER"))
+    assert main(["index", "--corpus", str(corpus), "--out", str(files["index"])]) == 0
+    for run, report in ((files["run"], files["report"]), (other, files["report2"])):
+        assert main(["eval", "--run", str(run), "--qrels", str(files["qrels"]),
+                     "--out", str(report)]) == 0
+    return tmp, files
+
+
+def _argv(command, files, **changed):
+    return [token.format_map({**files, **changed}) for token in READING[command].split()]
+
+
+class TestInputFaultsNamed:
+    """An input that cannot be opened, missing or a directory, is named by
+    the reader that opens it, when it opens it: one line ``error: <path>:
+    <reason>``, exit 2, nothing on stdout, and no output or temporary file
+    left behind."""
+
+    @pytest.mark.parametrize("command", sorted(READING))
+    def test_good_inputs_succeed(self, inputs, capsys, command):
+        _, files = inputs
+        assert main(_argv(command, files)) == 0
+
+    # a corpus directory is walked for corpus files, so it is no fault
+    @pytest.mark.parametrize("command, name, fault", [
+        (command, name, fault) for command, name in INPUTS
+        for fault in ("missing", "directory")
+        if (command, name, fault) != ("index", "corpus", "directory")])
+    def test_fault_names_the_input(self, inputs, capsys, command, name, fault):
+        tmp, files = inputs
+        bad = tmp / ("ghost" if fault == "missing" else "adir")
+        if fault == "directory":
+            bad.mkdir()
+        before = sorted(tmp.rglob("*"))
+        capsys.readouterr()
+        rc = main(_argv(command, files, **{name: bad}))
+        reason = "No such file or directory" if fault == "missing" else "Is a directory"
+        assert (rc, *capsys.readouterr()) == (2, "", "error: %s: %s\n" % (bad, reason))
+        assert sorted(tmp.rglob("*")) == before
+
+    def test_missing_second_corpus_file_leaves_nothing(self, toy, capsys):
+        """The build fails only after it has read the first file."""
+        tmp, corpus, _ = toy
+        before = sorted(tmp.rglob("*"))
+        rc = main(["index", "--corpus", str(corpus), str(tmp / "ghost.sgml"),
+                   "--out", str(tmp / "t.idx")])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "error: %s: No such file or directory\n" % (tmp / "ghost.sgml"))
+        assert sorted(tmp.rglob("*")) == before
+
+    def test_gz_named_index_is_searched(self, toy, capsys):
+        tmp, corpus, topics = toy
+        idx = tmp / "t.idx.gz"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        capsys.readouterr()
+        assert main(["search", "--index", str(idx), "--topics", str(topics)]) == 0
+        assert capsys.readouterr().out.startswith("1 Q0 D1 1 ")
+
+
+class TestOutputNotAnInput:
+    """An ``--out`` that is one of the command's own inputs is refused, by
+    name, before anything is opened; the input keeps its bytes."""
+
+    @pytest.mark.parametrize("link", [False, True], ids=["same-path", "symlink"])
+    @pytest.mark.parametrize("command, name", [
+        case for case in INPUTS if "{out}" in READING[case[0]]])
+    def test_refused(self, inputs, capsys, command, name, link):
+        tmp, files = inputs
+        out = files[name]
+        if link:
+            out = tmp / "link"
+            out.symlink_to(files[name])
+        data = files[name].read_bytes()
+        before = sorted(tmp.rglob("*"))
+        capsys.readouterr()
+        rc = main(_argv(command, files, out=out))
+        assert (rc, *capsys.readouterr()) == (
+            1, "", "error: --out %s is also an input of this command\n" % out)
+        assert files[name].read_bytes() == data
+        assert sorted(tmp.rglob("*")) == before
+
+    def test_out_from_config_naming_the_config(self, toy, capsys):
+        tmp, corpus, _ = toy
+        config = tmp / "c.cfg"
+        config.write_text("out=%s\n" % config, encoding="utf-8")
+        rc = main(["index", "--corpus", str(corpus), "--config", str(config)])
+        assert (rc, *capsys.readouterr()) == (
+            1, "", "error: --out %s is also an input of this command\n" % config)
+        assert config.read_text(encoding="utf-8") == "out=%s\n" % config
 
 
 class TestExitCodes:

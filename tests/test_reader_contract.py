@@ -126,3 +126,14 @@ def test_open_text_file_is_read_from_where_it_stands(tmp_path):
     with open(path, encoding="utf-8") as f:
         f.readline()
         assert parse_qrels(f) == {"1": {"B"}}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_missing_path_or_directory_raises_one_named_line(tmp_path, reader):
+    """Every reader opens its path through the one opener, which names the
+    path and the reason: no reader tests for the path beforehand."""
+    for path, reason in ((tmp_path / "ghost", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        with pytest.raises(ParseError) as info:
+            READERS[reader](str(path))
+        assert str(info.value) == "%s: %s" % (path, reason)
