@@ -89,14 +89,6 @@ def read_config(path) -> dict[str, str]:
     return config
 
 
-def _to_bool(value: str) -> bool:
-    if value.lower() in ("1", "true", "yes", "on"):
-        return True
-    if value.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError("expected a boolean, got %r" % value)
-
-
 def _merged(args, key: str, convert, default):
     """Resolve an option: explicit flag wins, then config file, then default.
     A config value that ``convert`` rejects with ValueError is a usage
@@ -433,7 +425,6 @@ def cmd_index(args) -> int:
         raise UsageError("no output path given (flag --out or config out=)")
     encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
     selection = _merged(args, "stoplist", str, "none")
-    keep_marks = _merged(args, "keep_marks", _to_bool, False)
 
     # corpus directories are listed before the output's temporary file
     # opens, since it may lie in one of them, as the output itself may
@@ -453,8 +444,7 @@ def cmd_index(args) -> int:
     with atomic_write(out_path, binary=True) as out:
         stoplist = None if selection == "none" else _resolve_stoplist(selection)
         try:
-            index = build_index(documents(), stoplist=stoplist,
-                                strip_marks=not keep_marks)
+            index = build_index(documents(), stoplist=stoplist)
         except DuplicateDocno as exc:
             raise ParseError("%s: duplicate docno %r (first in %s)" % (
                 sources[exc.again], exc.docno, sources[exc.first])) from None
@@ -508,9 +498,7 @@ def cmd_search(args) -> int:
         tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
         scorer = SCORERS[model]
         for qid, text in topics:
-            query = Query.from_text(
-                qid, text, stoplist=index.stoplist, strip_marks=index.strip_marks
-            )
+            query = Query.from_text(qid, text, stoplist=index.stoplist)
             run = scorer(index, query, params, top_k=top_k, tag=tag)
             if not run.docnos:
                 print(
@@ -682,8 +670,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--stoplist", help="none, GS, CBS, CS, or a stoplist file")
     p.add_argument("--workers", type=int,
                    help="accepted for compatibility; has no effect")
-    p.add_argument("--keep-marks", dest="keep_marks", action="store_const",
-                   const=True, help="keep diacritics and tatweel")
     p.add_argument("--config", help="key=value manifest; flags win")
     p.set_defaults(func=cmd_index)
 

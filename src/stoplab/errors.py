@@ -37,24 +37,24 @@ def read_bytes(source, role: str):
 
 def read_text(source, role: str, encoding: str = "utf-8") -> str:
     """Read a path, gunzipping names that end in ``.gz``, or an open text or
-    binary file, to one string.  This is the only place where stoplab turns
-    bytes into text.  A path that cannot be read, a damaged gzip file, or
-    bytes that do not decode (an open text file's own decoder included)
-    raise :class:`ParseError` naming the source."""
+    binary file, to one string less one leading byte-order mark.  This is
+    the only place where stoplab turns bytes into text.  A path that cannot
+    be read, a damaged gzip file, or bytes that do not decode (an open text
+    file's own decoder included) raise :class:`ParseError` naming the source."""
     name = source_name(source, role)
     try:
         data = read_bytes(source, role)
     except UnicodeDecodeError as exc:  # a text file: decode its bytes below
         data, encoding = exc.object, getattr(source, "encoding", exc.encoding)
     if isinstance(data, str):
-        return data
+        return data.removeprefix("\ufeff")
     if name.endswith(".gz"):
         try:
             data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
         except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
     try:
-        return data.decode(encoding)
+        return data.decode(encoding).removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]  # lines end at \n, \r\n or \r, as in iter_lines
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1

@@ -28,7 +28,8 @@ out in columns:
     checksum         uint32 CRC-32 of every byte before it
 
 Writing is fully deterministic, so equal indexes serialize byte-identically.
-Files in the retired ``ARIDX001`` format are refused: rebuild them.
+Files in the retired ``ARIDX001`` format are refused: rebuild them.  So are
+files whose ``strip_marks`` is not ``true``, as ``index --keep-marks`` wrote.
 """
 
 import json
@@ -126,9 +127,10 @@ class Index:
             ``stoplist build`` reads it).
         total_tokens: sum of all document lengths.
         stoplist: the list applied at build time, or None.
-        strip_marks: whether diacritics/tatweel were stripped.
         stopwords_removed: tokens dropped by the stoplist during the build.
     """
+
+    strip_marks = True  # diacritics always go; bench/replay.py still reads it
 
     def __init__(
         self,
@@ -139,7 +141,6 @@ class Index:
         pairs: np.ndarray,
         total_tokens: int,
         stoplist: Stoplist | None = None,
-        strip_marks: bool = True,
         stopwords_removed: int = 0,
     ):
         bounds = np.concatenate(([0], np.cumsum(doc_freqs, dtype=np.int64)))
@@ -153,7 +154,6 @@ class Index:
         self.pairs = pairs
         self.total_tokens = total_tokens
         self.stoplist = stoplist
-        self.strip_marks = strip_marks
         self.stopwords_removed = stopwords_removed
 
     @property
@@ -320,6 +320,9 @@ class Index:
         sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
         doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
         meta = json.loads(bytes(sections[3]).decode("utf-8"))
+        if meta["strip_marks"] is not True:
+            raise ParseError("%s: index built with --keep-marks, which stoplab no "
+                             "longer reads; rebuild it with stoplab index" % name)
         for strings in (meta["docnos"], meta["terms"]):
             "".join(strings)  # raises TypeError, at C speed, on a non-string
         s = meta["stoplist"]
@@ -331,7 +334,6 @@ class Index:
             pairs=pairs.reshape(-1, 2),
             total_tokens=int(meta["total_tokens"]),
             stoplist=s and Stoplist(s["name"], frozenset(s["words"]), s["provenance"]),
-            strip_marks=bool(meta["strip_marks"]),
             stopwords_removed=int(meta["stopwords_removed"]),
         )
 
@@ -358,7 +360,6 @@ class DuplicateDocno(ParseError, ValueError):
 def build_index(
     docs: Iterable[tuple[str, str]],
     stoplist: Stoplist | None = None,
-    strip_marks: bool = True,
     workers: int = 1,
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
@@ -390,7 +391,7 @@ def build_index(
         chunk_ids.extend(map(chunk_table.__getitem__, chunks))
     n = len(docnos)
 
-    batch, ends = tokenize_chunks(list(chunk_table), strip_marks)
+    batch, ends = tokenize_chunks(list(chunk_table))
     position = dict.fromkeys(batch, -1)  # token -> its index in terms, -1 for a stopword
     stopwords = stoplist.words if stoplist else frozenset()
     terms = sorted(filterfalse(stopwords.__contains__, position))
@@ -438,7 +439,6 @@ def build_index(
         pairs=pairs,
         total_tokens=int(doc_lengths.sum()),
         stoplist=stoplist,
-        strip_marks=strip_marks,
         stopwords_removed=removed,
     )
     index.check()

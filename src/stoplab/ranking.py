@@ -127,8 +127,11 @@ class Query:
         stoplist: Stoplist | None = None,
         strip_marks: bool = True,
     ) -> "Query":
-        """Build a query through the same pipeline documents go through."""
-        tokens = tokenize(normalize(text, strip_marks=strip_marks))
+        """Build a query through the same pipeline documents go through,
+        which always strips marks (bench/replay.py still passes True)."""
+        if not strip_marks:
+            raise ValueError("diacritics and tatweel are always stripped")
+        tokens = tokenize(normalize(text))
         if stoplist is not None:
             tokens = stoplist.filter(tokens)
         return cls(qid=qid, terms=dict(Counter(tokens)))

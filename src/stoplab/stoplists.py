@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .errors import iter_lines
-from .textpipe import normalize
+from .errors import ParseError, iter_lines, source_name
+from .textpipe import normalize, tokenize
 
 PROVENANCES = ("general", "corpus-based", "combined", "custom")
 
@@ -58,16 +58,20 @@ def load_stoplist(source, name: str, provenance: str = "custom") -> Stoplist:
     """Read a stoplist from a path or an open text or binary file.
 
     Each word is normalized before insertion; duplicates collapse.  Invalid
-    UTF-8 raises :class:`ParseError` naming the file and the line.
+    UTF-8, or a word that no token can equal, being other than one token once
+    normalized (``two words``), raises :class:`ParseError` naming the line.
     """
     words = set()
-    for _, line in iter_lines(source, "stoplist"):
+    where = source_name(source, "stoplist")
+    for lineno, line in iter_lines(source, where):
         word = line.strip()
         if not word or word.startswith("#"):
             continue
         word = normalize(word)
-        if word:
-            words.add(word)
+        if tokenize(word) != [word]:
+            raise ParseError("%s line %d: stopword %r is not one token"
+                             % (where, lineno, word))
+        words.add(word)
     return Stoplist(name=name, words=frozenset(words), provenance=provenance)
 
 

@@ -7,7 +7,7 @@ made between identically prepared strings.
 Normalization rules, applied in order:
 
 1. Remove Arabic diacritics (fathatan through sukun, U+064B..U+0652) and
-   tatweel (U+0640).  Switchable via ``strip_marks``, on by default.
+   tatweel (U+0640), always, since the tokenizer would split a word at them.
 2. Fold alef-madda, alef-with-hamza-above and alef-with-hamza-below
    (U+0622, U+0623, U+0625) to bare alef.
 3. Fold word-final alef-maqsura (U+0649) to yeh.
@@ -52,14 +52,13 @@ _CHUNK_END = "\n"
 _CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + _CHUNK_END)
 
 
-def normalize(text: str, strip_marks: bool = True) -> str:
+def normalize(text: str) -> str:
     """Apply the light normalization rules above to ``text``.
 
     Total on any Unicode input; characters outside the affected sets pass
     through untouched.
     """
-    if strip_marks:
-        text = _MARKS_RE.sub("", text)
+    text = _MARKS_RE.sub("", text)
     text = _ALEF_VARIANTS_RE.sub("ا", text)
     text = _FINAL_ALEF_MAQSURA_RE.sub("ي", text)
     text = _FINAL_TEH_MARBUTA_RE.sub("ه", text)
@@ -75,19 +74,19 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def tokenize_chunks(chunks: list[str], strip_marks: bool = True) -> tuple[list[str], list[int]]:
+def tokenize_chunks(chunks: list[str]) -> tuple[list[str], list[int]]:
     """Normalize and tokenize whitespace-free ``chunks`` in one batch.
 
     Returns ``(tokens, ends)``: the tokens of all chunks, chunk after chunk,
     and where each chunk's tokens end, so ``tokens[ends[i - 1]:ends[i]]``
     (from 0 for the first) are those of ``chunks[i]``; there may be none.
-    By chunk locality they are ``tokenize(normalize(chunks[i], strip_marks))``.
+    By chunk locality they are ``tokenize(normalize(chunks[i]))``.
     """
     # one normalize and one findall over the chunks, each followed by a
     # newline, which the findall returns too; newline k (from 0) follows
     # chunk k's tokens and k earlier newlines, so its index less k is ends[k]
     text = _CHUNK_END.join([*chunks, ""])
-    marked = _CHUNK_TOKEN_RE.findall(normalize(text, strip_marks=strip_marks))
+    marked = _CHUNK_TOKEN_RE.findall(normalize(text))
     is_end = list(map(_CHUNK_END.__eq__, marked))
     ends = list(map(sub, compress(count(), is_end), count()))
     return list(compress(marked, map(not_, is_end))), ends

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import io
 import math
 import random
@@ -23,7 +24,7 @@ from stoplab.cli import (
     write_run,
 )
 from stoplab.errors import ParseError, atomic_write
-from stoplab.index import Index
+from stoplab.index import Index, build_index
 from stoplab.ranking import RankedRun
 from stoplab.treceval import evaluate_run, parse_qrels
 
@@ -110,32 +111,22 @@ class TestIndexCommand:
         idx = Index.load(tmp / "t.idx")
         assert "قال" in idx.postings
 
-    def test_keep_marks_flag_recorded_and_honored(self, toy, capsys):
-        tmp, _, _ = toy
-        # two docs distinguished only by diacritics
-        corpus = tmp / "marks.sgml"
-        corpus.write_text(
-            "<DOC><DOCNO>P</DOCNO><TEXT>قَال</TEXT></DOC>"
-            "<DOC><DOCNO>Q</DOCNO><TEXT>قال</TEXT></DOC>",
-            encoding="utf-8",
-        )
-        idx = tmp / "marks.idx"
-        assert main(["index", "--corpus", str(corpus), "--out", str(idx),
-                     "--keep-marks"]) == 0
-        loaded = Index.load(idx)
-        assert loaded.strip_marks is False
-        # with marks kept, the diacritized form tokenizes differently
-        assert len(loaded.postings) > 1
-        capsys.readouterr()
-        topics = tmp / "marks_topic.txt"
-        topics.write_text(
-            "<top><num>1</num><title>قَال</title></top>",
-            encoding="utf-8",
-        )
-        assert main(["search", "--index", str(idx), "--topics", str(topics),
-                     "--model", "BM25"]) == 0
-        out = capsys.readouterr().out
-        assert out.split()[2] == "P"  # diacritized query matches diacritized doc
+    def test_keep_marks_flag_is_unrecognized(self, toy, capsys):
+        tmp, corpus, _ = toy
+        rc = main(["index", "--corpus", str(corpus), "--out", str(tmp / "t.idx"),
+                   "--keep-marks"])
+        assert rc == 1
+        assert "unrecognized arguments: --keep-marks" in capsys.readouterr().err
+        assert not (tmp / "t.idx").exists()
+
+    def test_keep_marks_config_key_is_ignored(self, toy, capsys):
+        tmp, corpus, _ = toy
+        cfg = tmp / "marks.cfg"
+        cfg.write_text("keep_marks=true\n", encoding="utf-8")
+        for name, extra in (("plain.idx", []), ("cfg.idx", ["--config", str(cfg)])):
+            assert main(["index", "--corpus", str(corpus), "--out", str(tmp / name),
+                         *extra]) == 0
+        assert (tmp / "cfg.idx").read_bytes() == (tmp / "plain.idx").read_bytes()
 
     def test_output_in_corpus_directory_is_not_read_as_corpus(self, tmp_path,
                                                                monkeypatch, capsys):
@@ -194,6 +185,55 @@ class TestIndexCommand:
     def test_usage_error_exit_code(self, toy, capsys):
         rc = main(["index", "--bogus-flag"])
         assert rc == 1
+
+
+# one word bare, with diacritics and with tatweel, among other words
+MARKED_SGML = (
+    "<DOC><DOCNO>D1</DOCNO><TEXT>كتب الطالب في الكتاب</TEXT></DOC>\n"
+    "<DOC><DOCNO>D2</DOCNO><TEXT>كَتَبَ الطّالِبُ الدَّرْسَ</TEXT></DOC>\n"
+    "<DOC><DOCNO>D3</DOCNO><TEXT>كـتـب الطـالـب</TEXT></DOC>\n"
+)
+
+
+class TestOneTextPipeline:
+    """Diacritics and tatweel are always stripped, in documents and queries."""
+
+    def test_marked_forms_index_and_retrieve_as_one_term(self, tmp_path, capsys):
+        corpus, idx = tmp_path / "marked.sgml", tmp_path / "marked.idx"
+        corpus.write_text(MARKED_SGML, encoding="utf-8")
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        # the same bytes as before --keep-marks was removed, built without it
+        assert hashlib.sha256(idx.read_bytes()).hexdigest() == (
+            "142e6561c980738d00a9fe61fe8d39f6307abd237a103e65e0476049039192fe")
+        index = Index.load(idx)
+        assert index.terms == ["الدرس", "الطالب", "الكتاب", "في", "كتب"]
+        assert index.doc_lengths.tolist() == [4, 3, 2]
+        for title in ("كتب الطالب", "كَتَبَ الطّالِبُ", "كـتـب الطـالـب"):
+            topics = tmp_path / "topics.txt"
+            topics.write_text("<top><num>1</num><title>%s</title></top>" % title,
+                              encoding="utf-8")
+            capsys.readouterr()
+            assert main(["search", "--index", str(idx), "--topics", str(topics),
+                         "--model", "BM25"]) == 0
+            docnos = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
+            assert sorted(docnos) == ["D1", "D2", "D3"]
+
+    @pytest.mark.parametrize("command", ["search", "stoplist build"])
+    def test_index_built_with_keep_marks_is_refused(self, toy, capsys, command):
+        tmp, corpus, topics = toy
+        idx = tmp / "marks.idx"
+        marked = build_index([("D1", "a b")])
+        marked.strip_marks = False
+        marked.save(idx)  # as index --keep-marks wrote it
+        out = tmp / "out"
+        args = {"search": ["search", "--topics", str(topics)],
+                "stoplist build": ["stoplist", "build", "--cutoff", "0"]}[command]
+        before = sorted(tmp.iterdir())
+        assert main([*args, "--index", str(idx), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: %s: index built with --keep-marks, which stoplab no longer "
+            "reads; rebuild it with stoplab index\n" % idx)
+        assert sorted(tmp.iterdir()) == before  # no output, no temporary file
 
 
 class TestSearchCommand:
@@ -919,6 +959,24 @@ class TestReportRows:
 
 
 class TestStoplistCommand:
+    @pytest.mark.parametrize("argv", [
+        ["stoplist", "inspect", "--list", "{list}"],
+        ["stoplist", "build", "--index", "{idx}", "--cutoff", "0", "--exclude", "{list}",
+         "--out", "{out}"],
+        ["index", "--corpus", "{corpus}", "--stoplist", "{list}", "--out", "{out}"],
+    ], ids=["inspect", "build-exclude", "index"])
+    def test_entry_that_is_not_one_token_is_refused(self, toy, capsys, argv):
+        tmp, corpus, _ = toy
+        idx, stoplist, out = tmp / "t.idx", tmp / "list.txt", tmp / "out"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        stoplist.write_text("solo\ntwo words\n", encoding="utf-8")
+        capsys.readouterr()
+        paths = {"list": stoplist, "idx": idx, "out": out, "corpus": corpus}
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr() == (
+            "", "error: %s line 2: stopword 'two words' is not one token\n" % stoplist)
+        assert not out.exists()
+
     def test_inspect_bundled_overlap(self, capsys):
         rc = main(["stoplist", "inspect", "--list", "GS", "--other", "CBS"])
         assert rc == 0
@@ -1230,7 +1288,7 @@ class TestConfigFiles:
     @pytest.mark.parametrize("command, line, message", [
         ("search", "top_k=abc", "bad top_k: invalid literal for int() with base 10: 'abc'"),
         ("search", "k1=x", "bad k1: could not convert string to float: 'x'"),
-        ("index", "keep_marks=maybe", "bad keep_marks: expected a boolean, got 'maybe'"),
+        ("index", "encoding=latin1", "bad encoding: encoding must be one of ['cp1256', 'utf8']"),
     ])
     def test_bad_config_value_names_file_and_key(self, toy, capsys, command, line,
                                                  message):

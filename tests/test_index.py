@@ -39,7 +39,7 @@ def fields(index: Index) -> tuple:
     """Every field an index is built from; the rest derive from them."""
     return (index.docnos, index.terms, index.doc_lengths.tolist(),
             index.doc_freqs.tolist(), index.pairs.tolist(), index.total_tokens,
-            index.stoplist, index.strip_marks, index.stopwords_removed)
+            index.stoplist, index.stopwords_removed)
 
 
 # Arabic letters with the alef, alef-maqsura and teh-marbuta variants that
@@ -62,20 +62,19 @@ def joined(draw, pool):
 
 @st.composite
 def corpora(draw):
-    """(docs, stoplist, strip_marks): documents over a small pool of words,
+    """(docs, stoplist): documents over a small pool of words,
     so terms repeat within and across them, some empty, docnos in random
     order, and a stoplist (or none) drawn from the corpus's own tokens."""
-    strip_marks = draw(st.booleans())
     pool = draw(st.lists(st.text(st.sampled_from(ARABIC + LATIN + PUNCTUATION),
                                  min_size=1, max_size=6),
                          min_size=1, max_size=8))
     texts = draw(st.lists(joined(pool), max_size=8))
     order = draw(st.permutations(range(len(texts))))
     docs = [("D%d" % i, text) for i, text in zip(order, texts)]
-    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text))})
     stopwords = frozenset(draw(st.sets(st.sampled_from(words)))) if words else frozenset()
     stoplist = draw(st.sampled_from([None, Stoplist("drawn", stopwords)]))
-    return docs, stoplist, strip_marks
+    return docs, stoplist
 
 
 WORDS = ["قال", "الرئيس", "في", "news", "wire", "42", "a<b", "c>"]
@@ -304,25 +303,25 @@ class TestBuildIndex:
 class TestBuildAgainstReference:
     @settings(max_examples=200, deadline=None, database=None)
     @given(corpus=corpora())
-    @example(corpus=([], None, True))
-    @example(corpus=([("D2", "a b a"), ("D1", "")], Stoplist("all", frozenset("ab")), True))
+    @example(corpus=([], None))
+    @example(corpus=([("D2", "a b a"), ("D1", "")], Stoplist("all", frozenset("ab"))))
     def test_build_matches_brute_force_and_round_trips(self, corpus):
         assert_matches_reference(*corpus)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(corpus=corpora(), copies=st.integers(1, 3))
     @example(corpus=([("D1", "a b"), ("D2", "c\u060cc a"), ("D3", ""), ("D4", "b. d")],
-                     Stoplist("c", frozenset("c")), True), copies=1)
+                     Stoplist("c", frozenset("c"))), copies=1)
     def test_documents_read_as_chunks_match_brute_force(self, corpus, copies):
         # every chunk recurs in `copies` documents, and is tokenized once for all
-        docs, stoplist, strip_marks = corpus
+        docs, stoplist = corpus
         docs = [("%s.%d" % (docno, k), text) for k in range(copies) for docno, text in docs]
-        assert_matches_reference(docs, stoplist, strip_marks)
+        assert_matches_reference(docs, stoplist)
 
 
-def assert_matches_reference(docs, stoplist, strip_marks):
-    idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
-    tokens = [(docno, tokenize(normalize(text, strip_marks))) for docno, text in docs]
+def assert_matches_reference(docs, stoplist):
+    idx = build_index(docs, stoplist=stoplist)
+    tokens = [(docno, tokenize(normalize(text))) for docno, text in docs]
     ref = reference_index(tokens, stoplist.words if stoplist else frozenset())
     assert idx.docnos == [docno for docno, _ in docs]
     assert idx.terms == ref["terms"]
@@ -353,7 +352,6 @@ class TestSerialization:
         assert loaded.ctf == idx.ctf
         assert loaded.total_tokens == idx.total_tokens
         assert loaded.stoplist == idx.stoplist
-        assert loaded.strip_marks == idx.strip_marks
         assert loaded.stopwords_removed == idx.stopwords_removed
 
     def test_serialize_deserialize_serialize_identical(self):

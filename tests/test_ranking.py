@@ -77,6 +77,11 @@ class TestQuery:
         q = Query.from_text("1", "أخبار")
         assert "اخبار" in q.terms
 
+    def test_from_text_strips_marks_always(self):
+        assert Query.from_text("1", "كَتَبَ كـتـب", strip_marks=True).terms == {"كتب": 2}
+        with pytest.raises(ValueError):
+            Query.from_text("1", "كَتَبَ", strip_marks=False)
+
 
 class TestBM25:
     def test_toy_single_term(self):
@@ -252,14 +257,14 @@ MODELS = [  # scorer, its parameters drawn from their valid range, oracle
 
 @st.composite
 def searches(draw):
-    """(docs, stoplist, strip_marks, query text, [(params, top_k)] per model):
+    """(docs, stoplist, query text, [(params, top_k)] per model):
     query words drawn from the corpus, stopwords included, and from ABSENT."""
-    docs, stoplist, strip_marks = draw(corpora())
-    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    docs, stoplist = draw(corpora())
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text))})
     text = " ".join(draw(st.lists(st.sampled_from(words + ABSENT), max_size=5)))
     per_model = [(draw(params), draw(st.integers(1, len(docs) + 2)))
                  for _, params, _ in MODELS]
-    return docs, stoplist, strip_marks, text, per_model
+    return docs, stoplist, text, per_model
 
 
 DEFAULTS = [(BM25Params(), 3), (TFIDFParams(), 3), (DirichletParams(), 3)]
@@ -270,16 +275,16 @@ class TestScorersAgainstOracles:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(search=searches())
-    @example(search=([("D2", "a b"), ("D1", "b a")], None, True, "a", DEFAULTS))
-    @example(search=([("D1", "a b"), ("D2", "b")], Stoplist("s", frozenset("a")), True,
+    @example(search=([("D2", "a b"), ("D1", "b a")], None, "a", DEFAULTS))
+    @example(search=([("D1", "a b"), ("D2", "b")], Stoplist("s", frozenset("a")),
                      "a a", DEFAULTS))
-    @example(search=([("D1", "a b")], None, True, "qq xyz", DEFAULTS))
+    @example(search=([("D1", "a b")], None, "qq xyz", DEFAULTS))
     def test_runs_match_brute_force(self, search):
-        docs, stoplist, strip_marks, text, per_model = search
-        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
-        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        docs, stoplist, text, per_model = search
+        idx = build_index(docs, stoplist=stoplist)
+        query = Query.from_text("1", text, stoplist=stoplist)
         stopwords = stoplist.words if stoplist else frozenset()
-        token_docs = [(docno, [t for t in tokenize(normalize(body, strip_marks))
+        token_docs = [(docno, [t for t in tokenize(normalize(body))
                                if t not in stopwords]) for docno, body in docs]
         indexed = any(term in idx.postings for term in query.terms)
         for (scorer, _, oracle), (params, top_k) in zip(MODELS, per_model):
@@ -301,13 +306,13 @@ class TestScorersAgainstOracles:
 class TestCandidates:
     @settings(max_examples=200, deadline=None, database=None)
     @given(search=searches())
-    @example(search=([("D1", "a b"), ("D2", "b")], None, True, "a b a", DEFAULTS))
+    @example(search=([("D1", "a b"), ("D2", "b")], None, "a b a", DEFAULTS))
     def test_full_run_holds_the_documents_with_a_query_term(self, search):
-        docs, stoplist, strip_marks, text, _ = search
-        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
-        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        docs, stoplist, text, _ = search
+        idx = build_index(docs, stoplist=stoplist)
+        query = Query.from_text("1", text, stoplist=stoplist)
         holders = {docno for docno, body in docs
-                   if set(query.terms) & set(tokenize(normalize(body, strip_marks)))}
+                   if set(query.terms) & set(tokenize(normalize(body)))}
         for scorer in (score_bm25, score_tfidf):
             run = scorer(idx, query, top_k=idx.N + 1)
             assert sorted(run.docnos) == sorted(holders)
@@ -318,13 +323,13 @@ class TestDocnoOrder:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(corpus=corpora(), terms=st.lists(st.integers(0, 10), max_size=4))
-    @example(corpus=([("D2", "a"), ("D0", "a"), ("D1", "b")], None, True), terms=[0])
+    @example(corpus=([("D2", "a"), ("D0", "a"), ("D1", "b")], None), terms=[0])
     def test_ascending_and_permuted_docnos_rank_alike(self, corpus, terms):
-        docs, stoplist, strip_marks = corpus
-        words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+        docs, stoplist = corpus
+        words = sorted({t for _, text in docs for t in tokenize(normalize(text))})
         query = Query("1", {words[i % len(words)]: 1 for i in terms} if words else {})
-        ascending = build_index(sorted(docs), stoplist=stoplist, strip_marks=strip_marks)
-        permuted = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        ascending = build_index(sorted(docs), stoplist=stoplist)
+        permuted = build_index(docs, stoplist=stoplist)
         assert ascending.docnos_ascend
         assert permuted.docnos_ascend == (permuted.docnos == ascending.docnos)
         for idx in (ascending, permuted):
@@ -344,13 +349,13 @@ class TestExactScores:
     @settings(max_examples=200, deadline=None, database=None)
     @given(search=searches())
     # BM25's idf of "a" is exactly 0: N = 2, df = 1
-    @example(search=([("D1", "a b"), ("D2", "b")], None, True, "a b a", DEFAULTS))
+    @example(search=([("D1", "a b"), ("D2", "b")], None, "a b a", DEFAULTS))
     def test_scores_equal_sequential_sums(self, search):
-        docs, stoplist, strip_marks, text, per_model = search
-        idx = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
-        query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
+        docs, stoplist, text, per_model = search
+        idx = build_index(docs, stoplist=stoplist)
+        query = Query.from_text("1", text, stoplist=stoplist)
         stopwords = stoplist.words if stoplist else frozenset()
-        token_docs = [(docno, [t for t in tokenize(normalize(body, strip_marks))
+        token_docs = [(docno, [t for t in tokenize(normalize(body))
                                if t not in stopwords]) for docno, body in docs]
         for model, (scorer, _, _), (params, top_k) in zip(
                 ["BM25", "TFIDF", "KL"], MODELS, per_model):
@@ -364,12 +369,12 @@ class TestExactScores:
 
 @st.composite
 def search_sequences(draw):
-    """(docs, stoplist, strip_marks, [(model, params, query text, top_k)]):
+    """(docs, stoplist, [(model, params, query text, top_k)]):
     one or two parameter sets per model, so a sequence both repeats and
     switches (model, params), and queries over one small word pool, so
     their terms recur."""
-    docs, stoplist, strip_marks = draw(corpora())
-    words = sorted({t for _, text in docs for t in tokenize(normalize(text, strip_marks))})
+    docs, stoplist = draw(corpora())
+    words = sorted({t for _, text in docs for t in tokenize(normalize(text))})
     pools = [draw(st.lists(params, min_size=1, max_size=2)) for _, params, _ in MODELS]
     steps = []
     for _ in range(draw(st.integers(1, 8))):
@@ -377,7 +382,7 @@ def search_sequences(draw):
         params = draw(st.sampled_from(pools[model]))
         text = " ".join(draw(st.lists(st.sampled_from(words + ABSENT), max_size=4)))
         steps.append((model, params, text, draw(st.integers(1, len(docs) + 2))))
-    return docs, stoplist, strip_marks, steps
+    return docs, stoplist, steps
 
 
 class TestCollectionStatistics:
@@ -394,12 +399,12 @@ class TestMemo:
     @settings(max_examples=200, deadline=None, database=None)
     @given(sequence=search_sequences())
     def test_shared_index_scores_as_a_fresh_one(self, sequence):
-        docs, stoplist, strip_marks, steps = sequence
-        shared = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+        docs, stoplist, steps = sequence
+        shared = build_index(docs, stoplist=stoplist)
         for model, params, text, top_k in steps:
             scorer = MODELS[model][0]
-            query = Query.from_text("1", text, stoplist=stoplist, strip_marks=strip_marks)
-            fresh = build_index(docs, stoplist=stoplist, strip_marks=strip_marks)
+            query = Query.from_text("1", text, stoplist=stoplist)
+            fresh = build_index(docs, stoplist=stoplist)
             assert (scorer(shared, query, params, top_k=top_k)
                     == scorer(fresh, query, params, top_k=top_k))
 

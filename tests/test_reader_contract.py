@@ -120,6 +120,29 @@ def test_open_text_file_decode_error_names_role_and_byte(tmp_path, reader):
     assert str(info.value) == "%s line 2: invalid utf-8 at byte 13: invalid start byte" % reader
 
 
+# a file of each line-based kind, which a byte-order mark must not change
+BOM_SAMPLES = {
+    "qrels": "1 0 D1 1\n1 0 D2 1\n",
+    "run": "1 Q0 D1 1 2.000000 T\n1 Q0 D2 2 1.000000 T\n",
+    "config": "model=BM25\ntop_k=10\n",
+    "stoplist": "في\nمن\n",
+    "topics": "<top><num>1</num><title>a</title></top>\n",
+}
+
+
+@pytest.mark.parametrize("reader", sorted(BOM_SAMPLES))
+def test_byte_order_mark_is_dropped(tmp_path, reader):
+    """One leading U+FEFF, from a path or from an open text file, reads as
+    nothing, so the first record keeps its first field."""
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(BOM_SAMPLES[reader], encoding="utf-8")
+    marked.write_text("\ufeff" + BOM_SAMPLES[reader], encoding="utf-8")
+    expected = READERS[reader](str(plain))
+    assert READERS[reader](str(marked)) == expected
+    with open(marked, encoding="utf-8") as f:
+        assert READERS[reader](f) == expected
+
+
 def test_open_text_file_is_read_from_where_it_stands(tmp_path):
     path = tmp_path / "qrels"
     path.write_bytes(b"1 0 A 1\n1 0 B 1\n")

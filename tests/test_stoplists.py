@@ -59,6 +59,18 @@ class TestLoad:
         sl = load_stoplist(io.StringIO("أيضا\n"), name="t")
         assert "ايضا" in sl
 
+    def test_marked_entries_load_bare(self):
+        sl = load_stoplist(io.StringIO("كَتَبَ\nكـتـب\nكتب\n"), name="t")
+        assert sl.words == {"كتب"}
+
+    @pytest.mark.parametrize("line, word", [
+        ("two words", "two words"), ("في-ال", "في-ال"), ("أ.", "ا."), ("ـَ", ""),
+    ], ids=["space", "hyphen", "punctuation", "marks-only"])
+    def test_entry_no_token_can_equal_is_refused(self, line, word):
+        with pytest.raises(ParseError) as info:
+            load_stoplist(io.StringIO("solo\n%s\n" % line), name="t")
+        assert str(info.value) == "stoplist line 2: stopword %r is not one token" % word
+
     def test_invalid_utf8_names_line(self):
         stream = io.BytesIO("ok\n".encode("utf-8") + b"\xff\xfe\n")
         with pytest.raises(ParseError, match="line 2"):

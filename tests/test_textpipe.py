@@ -1,7 +1,6 @@
 import random
 import string
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,10 +53,6 @@ class TestNormalize:
     def test_diacritics_and_tatweel_removed(self):
         word = "ق" + FATHA + "ا" + TATWEEL + "ل" + SHADDA
         assert normalize(word) == "قال"
-
-    def test_marks_kept_when_disabled(self):
-        word = "ق" + FATHA + "ل"
-        assert normalize(word, strip_marks=False) == word
 
     def test_final_alef_maqsura_becomes_yeh(self):
         assert normalize("مستشف" + ALEF_MAQSURA) == (
@@ -143,10 +138,10 @@ LOCALITY_GROUPS = [
 LOCALITY_TEXT = st.text(st.one_of([st.sampled_from(g) for g in LOCALITY_GROUPS]), max_size=40)
 
 
-def assert_local(text, strip_marks):
-    per_chunk = [tokenize(normalize(c, strip_marks)) for c in text.split()]
-    assert tokenize(normalize(text, strip_marks)) == [t for ts in per_chunk for t in ts]
-    tokens, ends = tokenize_chunks(text.split(), strip_marks)
+def assert_local(text):
+    per_chunk = [tokenize(normalize(c)) for c in text.split()]
+    assert tokenize(normalize(text)) == [t for ts in per_chunk for t in ts]
+    tokens, ends = tokenize_chunks(text.split())
     assert [tokens[a:b] for a, b in zip([0, *ends], ends)] == per_chunk
     assert len(tokens) == (ends[-1] if ends else 0)
 
@@ -154,14 +149,12 @@ def assert_local(text, strip_marks):
 class TestChunkLocality:
     """Neither normalize nor tokenize looks across whitespace."""
 
-    @pytest.mark.parametrize("strip_marks", [True, False])
     @settings(max_examples=200, deadline=None, database=None)
     @given(text=LOCALITY_TEXT)
-    def test_tokens_are_the_chunks_tokens(self, text, strip_marks):
-        assert_local(text, strip_marks)
+    def test_tokens_are_the_chunks_tokens(self, text):
+        assert_local(text)
 
-    @pytest.mark.parametrize("strip_marks", [True, False])
-    def test_each_rewritten_character_beside_each_space(self, strip_marks):
+    def test_each_rewritten_character_beside_each_space(self):
         for space in LOCALITY_GROUPS[3]:
             for c in LOCALITY_GROUPS[1]:
-                assert_local("ب%s%s%sب%s" % (c, space, c, space), strip_marks)
+                assert_local("ب%s%s%sب%s" % (c, space, c, space))
