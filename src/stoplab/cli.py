@@ -74,9 +74,10 @@ class _Parser(argparse.ArgumentParser):
 # -- config files ---------------------------------------------------------
 
 
-def read_config(path) -> dict[str, str]:
-    """Parse a ``key=value`` experiment manifest; ``#`` starts a comment."""
-    config: dict[str, str] = {}
+def read_config(path) -> list[tuple[int, str, str]]:
+    """Parse a ``key=value`` experiment manifest into (line number, key,
+    value) entries, in file order; ``#`` starts a comment."""
+    config: list[tuple[int, str, str]] = []
     name = source_name(path, "config")
     for lineno, line in iter_lines(path, name):
         s = line.strip()
@@ -85,23 +86,35 @@ def read_config(path) -> dict[str, str]:
         if "=" not in s:
             raise ParseError("%s line %d: expected key=value" % (name, lineno))
         key, value = s.split("=", 1)
-        config[key.strip()] = value.strip()
+        config.append((lineno, key.strip(), value.strip()))
     return config
 
 
-def _merged(args, key: str, convert, default):
-    """Resolve an option: explicit flag wins, then config file, then default.
-    A config value that ``convert`` rejects with ValueError is a usage
-    error naming the config file and the key."""
-    value = getattr(args, key)
-    if value is not None:
-        return value
-    if key in args._config:
+def _parse_with_config(parser, args, argv):
+    """Parse ``argv`` again with the ``--config`` manifest's values as the
+    command's defaults, so flags win.  Each value is converted and checked
+    as its flag's would be.  A key only the other command takes is skipped,
+    so one manifest drives both ``index`` and ``search``; any other is refused."""
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    options = {name: {a.dest: a for a in commands[name]._actions
+                      if a.dest not in ("config", "help")} for name in ("index", "search")}
+    defaults = {}
+    for lineno, key, value in read_config(args.config):
+        action = options[args.command].get(key)
+        if action is None:
+            if not any(key in known for known in options.values()):
+                raise UsageError("%s line %d: unknown key %r" % (args.config, lineno, key))
+            continue
         try:
-            return convert(args._config[key])
+            values = [action.type(v) if action.type else v
+                      for v in (value.split(",") if action.nargs else [value])]
+            if action.choices and any(v not in action.choices for v in values):
+                raise ValueError("%s must be one of %s" % (key, action.choices))
         except ValueError as exc:
             raise UsageError("%s: bad %s: %s" % (args.config, key, exc)) from None
-    return default
+        defaults[key] = values if action.nargs else values[0]
+    commands[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 # -- shared file helpers ----------------------------------------------------
@@ -417,32 +430,29 @@ def read_report_tsv(path) -> tuple[str, dict[str, dict[str, float]]]:
 
 
 def cmd_index(args) -> int:
-    corpus = _merged(args, "corpus", lambda v: v.split(","), None)
-    if not corpus:
+    if not args.corpus:
         raise UsageError("no corpus given (flag --corpus or config corpus=)")
-    out_path = _merged(args, "out", str, None)
-    if not out_path:
+    if not args.out:
         raise UsageError("no output path given (flag --out or config out=)")
-    encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
-    selection = _merged(args, "stoplist", str, "none")
 
     # corpus directories are listed before the output's temporary file
     # opens, since it may lie in one of them, as the output itself may
-    paths = _expand_paths(corpus, out_path)
-    _check_out(out_path, *paths, args.config, lists=[selection])
+    paths = _expand_paths(args.corpus, args.out)
+    _check_out(args.out, *paths, args.config, lists=[args.stoplist])
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():
         for path in paths:
             before = len(sources)
-            for doc in parse_trec_documents(read_text(path, "corpus", encoding), path):
+            text = read_text(path, "corpus", ENCODINGS[args.encoding])
+            for doc in parse_trec_documents(text, path):
                 sources.append(path)
                 yield doc
             if len(sources) == before:  # empty, or not a corpus at all
                 raise ParseError("%s: no <DOC> blocks" % path)
 
-    with atomic_write(out_path, binary=True) as out:
-        stoplist = None if selection == "none" else _resolve_stoplist(selection)
+    with atomic_write(args.out, binary=True) as out:
+        stoplist = None if args.stoplist == "none" else _resolve_stoplist(args.stoplist)
         try:
             index = build_index(documents(), stoplist=stoplist)
         except DuplicateDocno as exc:
@@ -457,49 +467,33 @@ def cmd_index(args) -> int:
     print("average doc length:  %.2f" % index.avgdl)
     print("stopwords removed:   %d" % index.stopwords_removed)
     print("stoplist:            %s" % (stoplist.name if stoplist else "none"))
-    print("index file:          %s" % out_path)
+    print("index file:          %s" % args.out)
     return 0
 
 
-def _check_encoding(value: str) -> str:
-    if value not in ENCODINGS:
-        raise ValueError("encoding must be one of %s" % (sorted(ENCODINGS),))
-    return value
-
-
-def _check_model(value: str) -> str:
-    if value not in MODELS:
-        raise ValueError("model must be one of %s" % (MODELS,))
-    return value
-
-
 def cmd_search(args) -> int:
-    index_path = _merged(args, "index", str, None)
-    topics_path = _merged(args, "topics", str, None)
-    if not index_path or not topics_path:
+    if not args.index or not args.topics:
         raise UsageError("search needs --index and --topics")
-    model = _merged(args, "model", _check_model, "TFIDF")
-    top_k = _merged(args, "top_k", int, DEFAULT_TOP_K)
-    encoding = ENCODINGS[_merged(args, "encoding", _check_encoding, "utf8")]
-    out_path = _merged(args, "out", str, None)
-    _check_out(out_path, index_path, topics_path, args.config)
+    _check_out(args.out, args.index, args.topics, args.config)
 
-    with atomic_write(out_path) if out_path else nullcontext(sys.stdout) as out:
-        index = Index.load(index_path)
-        topics = parse_topics(read_text(topics_path, "topics", encoding), topics_path)
+    with atomic_write(args.out) if args.out else nullcontext(sys.stdout) as out:
+        index = Index.load(args.index)
+        text = read_text(args.topics, "topics", ENCODINGS[args.encoding])
+        topics = parse_topics(text, args.topics)
         if not topics:  # empty, or not a topics file at all
-            raise ParseError("%s: no <top> blocks" % topics_path)
+            raise ParseError("%s: no <top> blocks" % args.topics)
 
         # options the model does not take are ignored; unset ones keep defaults
-        param_type = PARAMS[model]
-        given = {f.name: _merged(args, f.name, float, None) for f in fields(param_type)}
+        param_type = PARAMS[args.model]
+        given = {f.name: getattr(args, f.name) for f in fields(param_type)}
         params = param_type(**{k: v for k, v in given.items() if v is not None})
 
-        tag = model if index.stoplist is None else "%s_%s" % (model, index.stoplist.name)
-        scorer = SCORERS[model]
+        tag = args.model if index.stoplist is None else "%s_%s" % (
+            args.model, index.stoplist.name)
+        scorer = SCORERS[args.model]
         for qid, text in topics:
             query = Query.from_text(qid, text, stoplist=index.stoplist)
-            run = scorer(index, query, params, top_k=top_k, tag=tag)
+            run = scorer(index, query, params, top_k=args.top_k, tag=tag)
             if not run.docnos:
                 print(
                     "warning: query %s produced no results "
@@ -516,6 +510,9 @@ def cmd_eval(args) -> int:
     # failed write prints nothing
     with atomic_write(args.out) if args.out else nullcontext() as out:
         runs = read_run_file(args.run)
+        if out and any(run.qid == "all" for run in runs):
+            raise ParseError("%s: query id 'all' is reserved for the summary row of "
+                             "the --out report" % args.run)
         report = evaluate_run(runs, parse_qrels(args.qrels))
         tag = runs[0].tag if runs else "(empty run)"
         if out:
@@ -543,6 +540,13 @@ def cmd_compare(args) -> int:
                 "%s: report %s covers a different qid set (missing %s, extra %s)"
                 % (path, tag, missing or "-", extra or "-")
             )
+        # a query's relevant count comes from the qrels alone
+        for q in sorted(rows):
+            relevant, expected = rows[q]["num_relevant"], tables[0][1][q]["num_relevant"]
+            if relevant != expected:
+                raise ParseError("%s: query %s has %d relevant documents, %s has %d: the "
+                                 "reports were evaluated against different qrels"
+                                 % (path, q, relevant, args.reports[0], expected))
     if len(reference) < 2:
         raise ParseError("compare needs at least 2 queries; the reports share %d"
                          % len(reference))
@@ -666,25 +670,25 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("index", help="build an index from TIPSTER SGML files")
     p.add_argument("--corpus", nargs="+", help="corpus files or directories (.gz ok)")
     p.add_argument("--out", help="index file to write")
-    p.add_argument("--encoding", choices=sorted(ENCODINGS))
-    p.add_argument("--stoplist", help="none, GS, CBS, CS, or a stoplist file")
-    p.add_argument("--workers", type=int,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--config", help="key=value manifest; flags win")
+    p.add_argument("--encoding", choices=sorted(ENCODINGS), default="utf8")
+    p.add_argument("--stoplist", default="none",
+                   help="none, GS, CBS, CS, or a stoplist file")
+    p.add_argument("--workers", type=int, help="accepted for compatibility; has no effect")
+    p.add_argument("--config", help="manifest of index/search key=value options; flags win")
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("search", help="run topics against an index")
     p.add_argument("--index", help="index file")
     p.add_argument("--topics", help="TREC topics file")
-    p.add_argument("--model", choices=MODELS)
+    p.add_argument("--model", choices=MODELS, default="TFIDF")
     p.add_argument("--k1", type=float, help="BM25/TFIDF k1")
     p.add_argument("--b", type=float, help="BM25/TFIDF b")
     p.add_argument("--k3", type=float, help="BM25 k3")
     p.add_argument("--mu", type=float, help="Dirichlet prior mass")
-    p.add_argument("--top-k", dest="top_k", type=int)
+    p.add_argument("--top-k", dest="top_k", type=int, default=DEFAULT_TOP_K)
     p.add_argument("--out", help="run file (default: stdout)")
-    p.add_argument("--encoding", choices=sorted(ENCODINGS))
-    p.add_argument("--config", help="key=value manifest; flags win")
+    p.add_argument("--encoding", choices=sorted(ENCODINGS), default="utf8")
+    p.add_argument("--config", help="manifest of index/search key=value options; flags win")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("eval", help="evaluate a run file against qrels")
@@ -733,7 +737,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args._config = read_config(args.config) if getattr(args, "config", None) else {}
+        if getattr(args, "config", None):
+            args = _parse_with_config(parser, args, argv)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -119,15 +119,6 @@ class TestIndexCommand:
         assert "unrecognized arguments: --keep-marks" in capsys.readouterr().err
         assert not (tmp / "t.idx").exists()
 
-    def test_keep_marks_config_key_is_ignored(self, toy, capsys):
-        tmp, corpus, _ = toy
-        cfg = tmp / "marks.cfg"
-        cfg.write_text("keep_marks=true\n", encoding="utf-8")
-        for name, extra in (("plain.idx", []), ("cfg.idx", ["--config", str(cfg)])):
-            assert main(["index", "--corpus", str(corpus), "--out", str(tmp / name),
-                         *extra]) == 0
-        assert (tmp / "cfg.idx").read_bytes() == (tmp / "plain.idx").read_bytes()
-
     def test_output_in_corpus_directory_is_not_read_as_corpus(self, tmp_path,
                                                                monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -513,6 +504,20 @@ class TestEvalCommand:
         qrels.write_text("1 0 D1 1\n")
         assert main(["eval", "--run", str(run), "--qrels", str(qrels)]) == 2
 
+    def test_query_named_all_refused_with_out(self, tmp_path, capsys):
+        """``all`` names the TSV report's summary row, so no query may."""
+        run = tmp_path / "all.run"
+        run.write_text("all Q0 D1 1 0.5 T\n2 Q0 D1 1 0.5 T\n", encoding="utf-8")
+        qrels = tmp_path / "q.qrels"
+        qrels.write_text("all 0 D1 1\n2 0 D1 1\n", encoding="utf-8")
+        argv = ["eval", "--run", str(run), "--qrels", str(qrels)]
+        rc = main([*argv, "--out", str(tmp_path / "all.tsv")])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "error: %s: query id 'all' is reserved for the summary row of the "
+                   "--out report\n" % run)
+        assert sorted(tmp_path.iterdir()) == [run, qrels]
+        assert main(argv) == 0  # the text report has no such row
+
     @pytest.mark.parametrize("bad, run_text, qrels_text, message", [
         ("run", "1 Q0 D1 1 0.5\n", "1 0 D1 1\n", "line 1: expected 6 fields, got 5"),
         ("run", "1 Q0 D1 1 0.5 T\n1 Q0 D1 2 0.4 T\n", "1 0 D1 1\n",
@@ -852,6 +857,16 @@ class TestCompareCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert "2" in err and "3" in err
+
+    def test_reports_from_different_qrels_refused(self, tmp_path, capsys):
+        a = self.make_report(tmp_path, "TFIDF", {"1": 1, "2": 2},
+                             self.qrels_text(["1", "2"]), capsys)
+        b = self.make_report(tmp_path, "BM25", {"1": 1, "2": 2},
+                             self.qrels_text(["1", "1", "2"]).replace("REL", "X", 1),
+                             capsys)
+        assert (main(["compare", str(a), str(b)]), *capsys.readouterr()) == (
+            2, "", "error: %s: query 1 has 2 relevant documents, %s has 1: the reports "
+                   "were evaluated against different qrels\n" % (b, a))
 
     def test_repeated_tag_names_both_reports(self, tmp_path, capsys):
         qrels = self.qrels_text(["1", "2"])
@@ -1251,6 +1266,60 @@ class TestIndexFiles:
         assert capsys.readouterr().err == "error: %s: truncated index file\n" % idx
 
 
+# documents of unequal lengths, so that every model parameter moves a score
+OPTION_SGML = (
+    "<DOC><DOCNO>D1</DOCNO><TEXT>a b</TEXT></DOC>\n"
+    "<DOC><DOCNO>D2</DOCNO><TEXT>b c c d</TEXT></DOC>\n"
+    "<DOC><DOCNO>D3</DOCNO><TEXT>a a d e f g</TEXT></DOC>\n"
+)
+# a repeated query term, so that BM25's k3 moves a score
+OPTION_TOPICS = ("<top><num>1</num><title>a a b</title></top>\n"
+                 "<top><num>2</num><title>c d</title></top>\n")
+ARABIC_SGML = "<DOC><DOCNO>D1</DOCNO><TEXT>قال الوزير</TEXT></DOC>\n"
+ARABIC_TOPICS = "<top><num>1</num><title>قال</title></top>\n"
+
+# each index and search option, a value other than its default, and the
+# command's other arguments
+OPTION_CASES = [
+    ("index", "corpus", "{corpus},{corpus2}", ""),
+    ("index", "out", "", "--corpus {corpus}"),
+    ("index", "encoding", "cp1256", "--corpus {arabic}"),
+    ("index", "stoplist", "{stops}", "--corpus {corpus}"),
+    ("index", "workers", "3", "--corpus {corpus}"),
+    ("search", "index", "{index}", "--topics {topics}"),
+    ("search", "topics", "{topics}", "--index {index}"),
+    ("search", "model", "BM25", "--index {index} --topics {topics}"),
+    ("search", "k1", "0.5", "--index {index} --topics {topics}"),
+    ("search", "b", "0.9", "--index {index} --topics {topics}"),
+    ("search", "k3", "0.5", "--index {index} --topics {topics} --model BM25"),
+    ("search", "mu", "3", "--index {index} --topics {topics} --model KL"),
+    ("search", "top_k", "1", "--index {index} --topics {topics}"),
+    ("search", "out", "", "--index {index} --topics {topics}"),
+    ("search", "encoding", "cp1256", "--index {arabic_index} --topics {arabic_topics}"),
+]
+# a manifest line that only the other command reads
+OTHER_COMMAND_KEY = {"index": "model=KL", "search": "corpus=ghost.sgml"}
+
+
+@pytest.fixture
+def option_files(tmp_path):
+    files = {name: tmp_path / name for name in (
+        "corpus", "corpus2", "topics", "index", "stops", "arabic", "arabic_topics",
+        "arabic_index")}
+    files["corpus"].write_text(OPTION_SGML, encoding="utf-8")
+    files["corpus2"].write_text("<DOC><DOCNO>D4</DOCNO><TEXT>a c e</TEXT></DOC>\n",
+                                encoding="utf-8")
+    files["topics"].write_text(OPTION_TOPICS, encoding="utf-8")
+    files["stops"].write_text("b\n", encoding="utf-8")
+    files["arabic"].write_bytes(ARABIC_SGML.encode("cp1256"))
+    files["arabic_topics"].write_bytes(ARABIC_TOPICS.encode("cp1256"))
+    assert main(["index", "--corpus", str(files["corpus"]),
+                 "--out", str(files["index"])]) == 0
+    assert main(["index", "--corpus", str(files["arabic"]), "--encoding", "cp1256",
+                 "--out", str(files["arabic_index"])]) == 0
+    return tmp_path, {**files, "tmp": tmp_path}
+
+
 class TestConfigFiles:
     def test_search_options_from_config(self, toy, capsys):
         tmp, corpus, topics = toy
@@ -1304,6 +1373,58 @@ class TestConfigFiles:
         assert rc == 1
         assert capsys.readouterr().err == "error: %s: %s\n" % (cfg, message)
         assert not (tmp / "x.idx").exists()
+
+    @pytest.mark.parametrize("command, key, value, base", OPTION_CASES,
+                             ids=["%s-%s" % case[:2] for case in OPTION_CASES])
+    def test_manifest_key_acts_as_its_flag(self, option_files, capsys, command, key,
+                                           value, base):
+        """``key=value`` and ``--key value`` write the same file; without
+        either the file differs, except for ``workers``, which has no
+        effect.  A key of the other command is skipped."""
+        tmp, files = option_files
+        outputs = {}
+        for via in ("config", "flag", "neither"):
+            out = tmp / ("%s.out" % via)
+            given = str(out) if key == "out" else value.format_map(files)
+            argv = [command, *base.format_map(files).split()]
+            if key != "out":
+                argv += ["--out", str(out)]
+            if via == "config":
+                cfg = tmp / "m.cfg"
+                cfg.write_text("%s\n%s=%s\n" % (OTHER_COMMAND_KEY[command], key, given),
+                               encoding="utf-8")
+                argv += ["--config", str(cfg)]
+            elif via == "flag":
+                argv += ["--" + key.replace("_", "-"), *given.split(",")]
+            rc = main(argv)
+            outputs[via] = out.read_bytes() if out.exists() else rc
+        assert isinstance(outputs["config"], bytes)
+        assert outputs["config"] == outputs["flag"]
+        assert (outputs["neither"] == outputs["config"]) == (key == "workers")
+
+    def test_option_cases_cover_every_option(self):
+        commands = next(a for a in stoplab.cli._build_parser()._actions
+                        if a.dest == "command").choices
+        for command in ("index", "search"):
+            dests = {a.dest for a in commands[command]._actions} - {"config", "help"}
+            assert dests == {key for c, key, _, _ in OPTION_CASES if c == command}
+
+    @pytest.mark.parametrize("command, line", [
+        (command, line) for command in ("index", "search")
+        for line in ("modle=BM25", "top-k=1", "config=x.cfg", "keep_marks=true")])
+    def test_unknown_key_is_refused(self, option_files, capsys, command, line):
+        """A key no command takes is a usage error naming the manifest, the
+        line and the key, before any file is opened or written."""
+        tmp, files = option_files
+        cfg = tmp / "m.cfg"
+        cfg.write_text("# manifest\nmodel=BM25\n%s\n" % line, encoding="utf-8")
+        before = sorted(tmp.rglob("*"))
+        argv = {"index": "index --corpus {corpus} --out {tmp}/x.out",
+                "search": "search --index {index} --topics {topics} --out {tmp}/x.out"}
+        rc = main([*argv[command].format_map(files).split(), "--config", str(cfg)])
+        assert (rc, *capsys.readouterr()) == (
+            1, "", "error: %s line 3: unknown key %r\n" % (cfg, line.split("=")[0]))
+        assert sorted(tmp.rglob("*")) == before
 
 
 def _failing_command(command, tmp, corpus, topics):
@@ -1567,6 +1688,13 @@ class TestExitCodes:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["index", "search", "eval", "compare",
+                                         "stoplist build", "stoplist combine",
+                                         "stoplist inspect"])
+    def test_subcommand_help_exits_zero(self, capsys, command):
+        assert main([*command.split(), "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: stoplab %s " % command)
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == 1
