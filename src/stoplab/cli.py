@@ -94,12 +94,16 @@ def _parse_with_config(parser, args, argv):
     """Parse ``argv`` again with the ``--config`` manifest's values as the
     command's defaults, so flags win.  Each value is converted and checked
     as its flag's would be.  A key only the other command takes is skipped,
-    so one manifest drives both ``index`` and ``search``; any other is refused."""
+    so one manifest drives both ``index`` and ``search``; any other, and a key
+    given twice, is refused."""
     commands = next(a for a in parser._actions if a.dest == "command").choices
     options = {name: {a.dest: a for a in commands[name]._actions
                       if a.dest not in ("config", "help")} for name in ("index", "search")}
-    defaults = {}
+    defaults, lines = {}, {}  # key -> its line
     for lineno, key, value in read_config(args.config):
+        if lines.setdefault(key, lineno) != lineno:
+            raise UsageError("%s lines %d and %d: key %r given twice"
+                             % (args.config, lines[key], lineno, key))
         action = options[args.command].get(key)
         if action is None:
             if not any(key in known for known in options.values()):
@@ -274,9 +278,14 @@ def _in_rank_order(qid: str, tag: str, docnos: list[str], ranks: list[int],
 
 # The separators of a canonical run line: five spaces, then a newline.
 _SEPARATORS = np.array([32] * 5 + [10], dtype=np.uint8)
-# Splitting a 50,000-line run in blocks of this many lines, and freeing
-# each block's field strings before the next, is faster than one split.
-_BLOCK_LINES = 1024
+# Lines per block: a block's arrays stay small, and are freed before the next.
+_BLOCK_LINES = 4096
+# A score's last 16 bytes, "ddddddddd.dddddd": each byte's "0", its most over
+# that, its place value, and which bytes are written for 0-9 integer digits.
+_SCORE_ZERO = np.frombuffer(b"000000000.000000", dtype=np.uint8)
+_SCORE_NINE = np.frombuffer(b"999999999.999999", dtype=np.uint8) - _SCORE_ZERO
+_PLACES = 10.0 ** np.array([14, 13, 12, 11, 10, 9, 8, 7, 6, 0, 5, 4, 3, 2, 1, 0])
+_WRITTEN = (np.arange(16) >= 9 - np.arange(10)[:, None]).astype(np.uint8)
 
 
 def _read_run_columns(text: str) -> list[RankedRun] | None:
@@ -285,52 +294,85 @@ def _read_run_columns(text: str) -> list[RankedRun] | None:
     fields joined by single spaces and ended by ``\\n``: its fields are
     then the line reader's.  None also stands for a rank, a score or a
     repeated docno that the line reader refuses."""
-    if not text.isascii():
+    if not text.isascii() or not text.endswith("\n"):
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cuts = np.flatnonzero(data <= 32)  # every space, newline or other control
-    n = len(cuts) // 6
-    if (n == 0 or len(cuts) != 6 * n or cuts[0] == 0 or cuts[-1] != len(data) - 1
-            or (np.diff(cuts) == 1).any()
-            or not (data[cuts].reshape(n, 6) == _SEPARATORS).all()):
-        return None
-    step = 6 * _BLOCK_LINES  # the end of each block is its last newline
-    bounds = [0, *(cuts[step - 1:-1:step] + 1).tolist(), len(text)]
-    del data, cuts
+    block_ends = np.flatnonzero(data == 10)[_BLOCK_LINES - 1:-1:_BLOCK_LINES] + 1
+    bounds = [0, *block_ends.tolist(), len(data)]
 
-    columns: dict[str, tuple] = {}  # qid -> tag, docnos, rank strings, scores
+    columns: dict[str, tuple] = {}  # qid -> tag, docnos, rank texts, score arrays
     for start, end in zip(bounds, bounds[1:]):
-        fields = text[start:end].split()
-        qids, docnos, ranks = fields[0::6], fields[2::6], fields[3::6]
-        try:
-            scores = list(map(float, fields[4::6]))
-        except ValueError:
+        block = data[start:end]
+        # bytes <= 32, two in a row around an empty field; int32 holds a block below 2 GiB
+        cuts = np.flatnonzero(block <= 32).astype(np.int32)
+        if (len(block) >= 2 ** 31 or len(cuts) % 6 or (np.diff(cuts, prepend=-1) == 1).any()
+                or not (block.take(cuts).reshape(-1, 6) == _SEPARATORS).all()):
+            return None
+        cuts = cuts.reshape(-1, 6)
+        firsts = np.concatenate(([0], cuts[:-1, 5] + 1), dtype=np.int32)  # line starts
+        qids = _column(block, firsts, cuts[:, 0])[0].split()
+        docnos = _column(block, cuts[:, 1] + 1, cuts[:, 2])[0].split()
+        ranks, rank_at = _column(block, cuts[:, 2] + 1, cuts[:, 3])
+        scores = _scores(block, cuts[:, 3] + 1, cuts[:, 4])
+        if scores is None:
             return None
         # a query's lines in this block run from a change of qid to the next
         changes = [0, *compress(count(1), map(ne, qids, qids[1:])), len(qids)]
-        for a, b in zip(changes, changes[1:]):
-            if qids[a] not in columns:
-                columns[qids[a]] = (fields[6 * a + 5], [], [], [])
+        at = rank_at[changes].tolist()
+        for a, b, ra, rb in zip(changes, changes[1:], at, at[1:]):
+            if qids[a] not in columns:  # the tag, from the query's first line
+                tag = text[start + int(cuts[a, 4]) + 1:start + int(cuts[a, 5])]
+                columns[qids[a]] = (tag, [], [], [])
             _, query_docnos, query_ranks, query_scores = columns[qids[a]]
             query_docnos += docnos[a:b]
-            query_ranks += ranks[a:b]
-            query_scores += scores[a:b]
+            query_ranks.append(ranks[ra:rb])
+            query_scores.append(scores[a:b])
 
     longest = max(len(docnos) for _, docnos, _, _ in columns.values())
-    in_order = list(map(str, range(1, longest + 1)))
+    in_order = " ".join(map(str, range(1, longest + 1))) + " "
     runs = []
     for qid, (tag, docnos, ranks, scores) in columns.items():
         if len(set(docnos)) != len(docnos):
             return None
-        if ranks == in_order[:len(ranks)]:
-            runs.append(RankedRun(qid, docnos, np.array(scores), tag))
+        ranks, scores = "".join(ranks), np.concatenate(scores)
+        if in_order.startswith(ranks):
+            runs.append(RankedRun(qid, docnos, scores, tag))
             continue
         try:
-            ranks = list(map(int, ranks))
+            ranks = list(map(int, ranks.split()))
         except ValueError:
             return None
         runs.append(_in_rank_order(qid, tag, docnos, ranks, scores))
     return runs
+
+
+def _column(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The fields ``block[starts[i]:stops[i]]``, each with the separator at
+    ``stops[i]``, as one string, and where each starts in it, then its length."""
+    lengths = stops + 1 - starts
+    at = np.concatenate(([0], np.cumsum(lengths)), dtype=np.int32)
+    index = np.arange(at[-1], dtype=np.int32) + np.repeat(starts - at[:-1], lengths)
+    return block.take(index).tobytes().decode("ascii"), at
+
+
+def _scores(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):
+    """The scores ``block[starts[i]:stops[i]]`` as ``float`` reads them, or None if one
+    does not parse.  ``-?d+.dddddd`` with at most nine integer digits is ``N / 10**6``
+    for an exact integer N: one correctly rounded division, so ``float``'s value."""
+    negative = block.take(starts) == 45  # "-"
+    digits = stops - starts - negative - 7  # before the point
+    if ((digits >= 1) & (digits <= 9)).all():
+        # the first four fields take 8 bytes or more, so a score's last 16 lie in its block
+        tails = np.ndarray((len(block) - 15,), "V16", block, strides=(1,))[stops - 16]
+        values = ((tails.view(np.uint8).reshape(-1, 16) - _SCORE_ZERO)
+                  * _WRITTEN.take(digits, axis=0))
+        if (values <= _SCORE_NINE).all():  # a byte below "0" wraps past 9
+            scores = (values @ _PLACES) / 1e6
+            return np.negative(scores, out=scores, where=negative)
+    try:
+        return np.array(list(map(float, _column(block, starts, stops)[0].split())))
+    except ValueError:
+        return None
 
 
 # -- evaluation reports -------------------------------------------------------

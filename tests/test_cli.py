@@ -5,12 +5,13 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stoplab.cli
@@ -661,9 +662,29 @@ PERTURBATIONS = {
 }
 
 
+# scores of nine integer digits or fewer, and edge cases of rounding
+exact_scores = st.one_of(
+    st.floats(-999999999.0, 999999999.0), st.floats(-1e-3, 1e-3),
+    st.integers(1 - 10 ** 15, 10 ** 15 - 1).map(lambda n: n / 10 ** 6),
+    st.sampled_from([-0.0, 5e-7, -5e-7, 0.0078125, 999999999.9999994]))
+# one score per text that numpy does not convert: ten integer digits or
+# more, or text that ``float`` reads in another form
+other_scores = st.one_of(
+    st.floats(min_value=1e9, allow_infinity=False).map("%.6f".__mod__),
+    st.floats(max_value=-1e9, allow_infinity=False).map("%.6f".__mod__),
+    st.sampled_from(["+1.5", "1e-3", "1_0.5", "-.500000", "0.5", "1.5000000", "inf",
+                     "-0", "00000000001.000000", "12345678", "-nan"]))
+
+
+def bitwise(runs) -> list:
+    """Runs as values equal only where each score's bits are: -0.0 is not
+    0.0, and a NaN equals itself."""
+    return [(r.qid, r.tag, r.docnos, r.scores.view(np.int64).tolist()) for r in runs]
+
+
 def _line_reader(text: str):
     try:
-        return _read_run_lines(text, "run")
+        return bitwise(_read_run_lines(text, "run"))
     except ParseError as exc:
         return str(exc)
 
@@ -679,7 +700,7 @@ class TestRunReaders:
         text = "".join(lines)
         runs = _read_run_columns(text)
         assert runs is not None
-        assert runs == _read_run_lines(text, "run")  # tags included
+        assert bitwise(runs) == _line_reader(text)  # tags included
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(lines=canonical_runs(), change=st.sampled_from(sorted(PERTURBATIONS)),
@@ -689,10 +710,83 @@ class TestRunReaders:
         lines[i] = PERTURBATIONS[change](lines[i], i)
         text = "".join(lines)
         try:
-            got = read_run_file(io.StringIO(text))
+            got = bitwise(read_run_file(io.StringIO(text)))
         except ParseError as exc:
             got = str(exc)
         assert got == _line_reader(text)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(scores=st.lists(exact_scores, min_size=1, max_size=30),
+           other=st.none() | other_scores, data=st.data())
+    @example(scores=[-0.0, 0.0, 5e-7, -5e-7, 0.0078125, 999999999.9999994],
+             other=None, data=None)
+    @example(scores=[0.5], other="%.6f" % 1e9, data=None)
+    @example(scores=[0.5, -2.0], other="+1.5", data=None)
+    @example(scores=[0.5, -2.0], other="1e-3", data=None)
+    @example(scores=[0.5, -2.0], other="1_0.5", data=None)
+    def test_scores_read_as_float_reads_them(self, scores, other, data):
+        """Scores as ``%.6f`` writes them, ``-?d+.dddddd``, which numpy
+        converts up to nine integer digits and ``float`` past them, and
+        other score text that ``float`` reads: bit for bit ``float``'s
+        value, and the line reader's."""
+        texts = ["%.6f" % score for score in scores]
+        if other is not None:
+            texts[data.draw(st.integers(0, len(texts) - 1)) if data else -1] = other
+        text = "".join("q Q0 D%d %d %s T\n" % (i, i + 1, s) for i, s in enumerate(texts))
+        with pytest.MonkeyPatch.context() as patch:
+            if other is None:  # numpy converts every score, without float
+                patch.setattr(stoplab.cli, "float", None, raising=False)
+            runs = _read_run_columns(text)
+        assert runs is not None
+        assert bitwise(runs) == _line_reader(text)
+        assert runs[0].scores.view(np.int64).tolist() == (
+            np.array([float(s) for s in texts]).view(np.int64).tolist())
+
+    @pytest.mark.parametrize("interleave", [False, True])
+    def test_queries_across_blocks_are_read_by_columns(self, interleave):
+        """A query of more lines than one block holds, alone or with its
+        lines alternating with another query's."""
+        runs = [RankedRun(qid, ["%s%d" % (qid, i) for i in range(n)],
+                          np.linspace(n / 3, -n / 7, n), "T" + qid)
+                for qid, n in (("a", 5000), ("b", 3100))]
+        lines = run_text(runs).splitlines(keepends=True)
+        if interleave:
+            lines = [*(line for pair in zip(lines, lines[5000:]) for line in pair),
+                     *lines[3100:5000]]
+        text = "".join(lines)
+        got = _read_run_columns(text)
+        assert got is not None
+        assert bitwise(got) == _line_reader(text)
+        assert [(r.qid, r.docnos, r.tag) for r in got] == [
+            (r.qid, r.docnos, r.tag) for r in runs]
+
+
+def memory_guard_text() -> str:
+    """50 queries of 1,000 lines as ``write_run`` writes them."""
+    ranks = np.arange(1, 1001)
+    return run_text([RankedRun(str(q), ["SYN%04d" % ((7919 * q + 4729 * r) % 5000)
+                                         for r in ranks.tolist()],
+                               30.0 - 0.0173 * ranks - 0.01 * q, "TFIDF_CBS")
+                     for q in range(1, 51)])
+
+
+def test_run_reader_peak_memory(tmp_path):
+    """The tracemalloc peak of ``read_run_file`` on ``memory_guard_text``
+    stays at or below that of the reader it replaced, which split each
+    block of 1,024 lines into all of its fields: 10,422,601 bytes, read
+    from the same file on Python 3.11 and numpy 2.4 (up to 10,430,499 the
+    first time in a process)."""
+    path = tmp_path / "guard.run"
+    path.write_text(memory_guard_text(), encoding="ascii")
+    assert _read_run_columns(path.read_text(encoding="ascii")) is not None
+    tracemalloc.start()
+    try:
+        runs = read_run_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 50
+    assert peak <= 10_422_601
 
 
 # '%' and '(' in qids, docnos and tags would break an unescaped format
@@ -1424,6 +1518,27 @@ class TestConfigFiles:
         rc = main([*argv[command].format_map(files).split(), "--config", str(cfg)])
         assert (rc, *capsys.readouterr()) == (
             1, "", "error: %s line 3: unknown key %r\n" % (cfg, line.split("=")[0]))
+        assert sorted(tmp.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["index", "search"])
+    @pytest.mark.parametrize("first, again", [
+        ("model=BM25", "model=KL"), ("encoding=utf8", "encoding=utf8"),
+        ("corpus={corpus}", "corpus={corpus2}")])
+    def test_repeated_key_is_refused(self, option_files, capsys, command, first, again):
+        """A key given twice is a usage error naming the manifest, both lines
+        and the key, whether or not the values differ and whichever command
+        takes the key, before any file is opened or written."""
+        tmp, files = option_files
+        cfg = tmp / "m.cfg"
+        cfg.write_text(("%s\n# again\n%s\n" % (first, again)).format_map(files),
+                       encoding="utf-8")
+        before = sorted(tmp.rglob("*"))
+        argv = {"index": "index --corpus {corpus} --out {tmp}/x.out",
+                "search": "search --index {index} --topics {topics} --out {tmp}/x.out"}
+        rc = main([*argv[command].format_map(files).split(), "--config", str(cfg)])
+        assert (rc, *capsys.readouterr()) == (
+            1, "", "error: %s lines 1 and 3: key %r given twice\n"
+                   % (cfg, first.split("=")[0]))
         assert sorted(tmp.rglob("*")) == before
 
 

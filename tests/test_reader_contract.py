@@ -6,12 +6,14 @@ import json
 import re
 import zlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stoplab.cli import (
     _TSV_COLUMNS,
+    _read_run_lines,
     parse_topics,
     read_config,
     read_report_tsv,
@@ -97,6 +99,27 @@ def scratch(tmp_path_factory):
 @given(data=contents)
 def test_any_bytes_parse_or_raise_one_named_line(scratch, reader, data):
     check_contract(reader, scratch, data)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(data=contents)
+def test_run_bytes_read_as_the_line_reader_reads_them(scratch, data):
+    """Whichever reader answers, ``read_run_file`` gives the line reader's
+    runs, scores bit for bit, or its error."""
+    scratch.write_bytes(data)
+
+    def outcome(read, *args):
+        try:
+            return [(r.qid, r.tag, r.docnos, r.scores.view(np.int64).tolist())
+                    for r in read(*args)]
+        except ParseError as exc:
+            return str(exc)
+
+    try:
+        text = read_text(str(scratch), "run")
+    except ParseError:  # read_run_file fails here too
+        return
+    assert outcome(read_run_file, str(scratch)) == outcome(_read_run_lines, text, str(scratch))
 
 
 @settings(max_examples=200, deadline=None, database=None)
