@@ -237,7 +237,8 @@ def read_run_file(source) -> list[RankedRun]:
     rank column, and equal ranks keep file order; scores do not affect the
     order.  The rank values themselves are not kept: a rank is a position.
     A query's tag comes from its first line.  Text as ``write_run`` writes
-    it is read by columns, any other text line by line, to the same runs."""
+    it, ranks ``1..m`` in file order and scores of one to nine integer
+    digits, is read by columns; any other text line by line, to the same runs."""
     name = source_name(source, "run")
     text = read_text(source, name)
     runs = _read_run_columns(text)
@@ -265,15 +266,12 @@ def _read_run_lines(text: str, name: str) -> list[RankedRun]:
         docnos.append(docno)
         ranks.append(rank)
         scores.append(score)
-    return [_in_rank_order(qid, tag, docnos, ranks, scores)
-            for qid, (tag, _, docnos, ranks, scores) in columns.items()]
-
-
-def _in_rank_order(qid: str, tag: str, docnos: list[str], ranks: list[int],
-                   scores: list[float]) -> RankedRun:
-    order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable
-    return RankedRun(qid, [docnos[i] for i in order],
-                     np.array([scores[i] for i in order]), tag)
+    runs = []
+    for qid, (tag, _, docnos, ranks, scores) in columns.items():
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable
+        runs.append(RankedRun(qid, [docnos[i] for i in order],
+                              np.array([scores[i] for i in order]), tag))
+    return runs
 
 
 # The separators of a canonical run line: five spaces, then a newline.
@@ -289,11 +287,12 @@ _WRITTEN = (np.arange(16) >= 9 - np.arange(10)[:, None]).astype(np.uint8)
 
 
 def _read_run_columns(text: str) -> list[RankedRun] | None:
-    """The runs in ``text`` if it is canonical, as ``write_run`` writes
-    it, else None.  Canonical text is ASCII, and each of its lines is six
-    fields joined by single spaces and ended by ``\\n``: its fields are
-    then the line reader's.  None also stands for a rank, a score or a
-    repeated docno that the line reader refuses."""
+    """The runs in ``text`` if it is as ``write_run`` writes it, else None:
+    ASCII, each line six fields joined by single spaces and ended by
+    ``\\n`` (so its fields are the line reader's), each query's ranks
+    ``1..m`` in file order, and each score ``-?d+.dddddd`` with one to nine
+    integer digits.  A query's lines may alternate with another's.  None
+    also stands for a repeated docno, which the line reader refuses."""
     if not text.isascii() or not text.endswith("\n"):
         return None
     data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
@@ -332,17 +331,9 @@ def _read_run_columns(text: str) -> list[RankedRun] | None:
     in_order = " ".join(map(str, range(1, longest + 1))) + " "
     runs = []
     for qid, (tag, docnos, ranks, scores) in columns.items():
-        if len(set(docnos)) != len(docnos):
+        if len(set(docnos)) != len(docnos) or not in_order.startswith("".join(ranks)):
             return None
-        ranks, scores = "".join(ranks), np.concatenate(scores)
-        if in_order.startswith(ranks):
-            runs.append(RankedRun(qid, docnos, scores, tag))
-            continue
-        try:
-            ranks = list(map(int, ranks.split()))
-        except ValueError:
-            return None
-        runs.append(_in_rank_order(qid, tag, docnos, ranks, scores))
+        runs.append(RankedRun(qid, docnos, np.concatenate(scores), tag))
     return runs
 
 
@@ -357,22 +348,20 @@ def _column(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):
 
 def _scores(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):
     """The scores ``block[starts[i]:stops[i]]`` as ``float`` reads them, or None if one
-    does not parse.  ``-?d+.dddddd`` with at most nine integer digits is ``N / 10**6``
+    is not ``-?d+.dddddd`` with one to nine integer digits.  Such a score is ``N / 10**6``
     for an exact integer N: one correctly rounded division, so ``float``'s value."""
     negative = block.take(starts) == 45  # "-"
     digits = stops - starts - negative - 7  # before the point
-    if ((digits >= 1) & (digits <= 9)).all():
-        # the first four fields take 8 bytes or more, so a score's last 16 lie in its block
-        tails = np.ndarray((len(block) - 15,), "V16", block, strides=(1,))[stops - 16]
-        values = ((tails.view(np.uint8).reshape(-1, 16) - _SCORE_ZERO)
-                  * _WRITTEN.take(digits, axis=0))
-        if (values <= _SCORE_NINE).all():  # a byte below "0" wraps past 9
-            scores = (values @ _PLACES) / 1e6
-            return np.negative(scores, out=scores, where=negative)
-    try:
-        return np.array(list(map(float, _column(block, starts, stops)[0].split())))
-    except ValueError:
+    if not ((digits >= 1) & (digits <= 9)).all():
         return None
+    # the first four fields take 8 bytes or more, so a score's last 16 lie in its block
+    tails = np.ndarray((len(block) - 15,), "V16", block, strides=(1,))[stops - 16]
+    values = ((tails.view(np.uint8).reshape(-1, 16) - _SCORE_ZERO)
+              * _WRITTEN.take(digits, axis=0))
+    if not (values <= _SCORE_NINE).all():  # a byte below "0" wraps past 9
+        return None
+    scores = (values @ _PLACES) / 1e6
+    return np.negative(scores, out=scores, where=negative)
 
 
 # -- evaluation reports -------------------------------------------------------

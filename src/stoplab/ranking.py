@@ -157,10 +157,11 @@ class RankedRun:
     tag: str
 
     def __eq__(self, other):
+        # scores compare bit for bit: a NaN equals itself, and -0.0 is not 0.0
         if not isinstance(other, RankedRun):
             return NotImplemented
         return ((self.qid, self.docnos, self.tag) == (other.qid, other.docnos, other.tag)
-                and np.array_equal(self.scores, other.scores))
+                and np.array_equal(self.scores.view(np.int64), other.scores.view(np.int64)))
 
     @property
     def entries(self) -> list[RunEntry]:

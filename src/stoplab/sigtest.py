@@ -38,12 +38,6 @@ def left_sum(values: Iterable[float]) -> float:
     return reduce(add, values, 0.0)
 
 
-def average_ranks(values) -> np.ndarray:
-    """Ranks 1..n of a one-dimensional sample, ties getting the mean of the
-    ranks they span."""
-    return _ranks_and_ties(values)[0]
-
-
 def _ranks_and_ties(values) -> tuple[np.ndarray, float]:
     """The average ranks of a one-dimensional sample, and the sum of
     t**3 - t over its tie groups of size t, from one stable sort: the start
@@ -192,20 +186,17 @@ def _approx_two_sided_p(n: int, tie_mass: float, statistic: float) -> float:
     return min(1.0, math.erfc(-z / math.sqrt(2.0)))
 
 
-def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
+def wilcoxon_signed_rank(a, b) -> WilcoxonResult:
     """Wilcoxon matched-pairs signed-rank test, two-sided.
 
     Zero differences are dropped from the ranking (counted as ties);
-    absolute differences receive average ranks.  ``method`` is "auto"
-    (exact up to 20 nonzero pairs, else normal approximation), "exact",
-    or "approx".
+    absolute differences receive average ranks.  The p-value is exact for
+    up to ``EXACT_LIMIT`` nonzero pairs, else the normal approximation.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or len(x) < 1:
         raise ValueError("need two equal-length one-dimensional samples")
-    if method not in ("auto", "exact", "approx"):
-        raise ValueError("method must be auto, exact or approx")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("samples must be finite")
     d = x - y
@@ -220,7 +211,7 @@ def wilcoxon_signed_rank(a, b, method: str = "auto") -> WilcoxonResult:
     w_plus = float(ranks[nonzero > 0].sum())
     w_minus = float(ranks[nonzero < 0].sum())
     statistic = min(w_plus, w_minus)
-    if method == "exact" or (method == "auto" and n_used <= EXACT_LIMIT):
+    if n_used <= EXACT_LIMIT:
         p = _exact_two_sided_p(ranks, w_plus)
     else:
         p = _approx_two_sided_p(n_used, tie_mass, statistic)

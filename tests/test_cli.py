@@ -699,8 +699,15 @@ class TestRunReaders:
     def test_canonical_text_is_read_by_columns(self, lines):
         text = "".join(lines)
         runs = _read_run_columns(text)
-        assert runs is not None
-        assert bitwise(runs) == _line_reader(text)  # tags included
+        ranks: dict[str, list[int]] = {}
+        for line in lines:
+            ranks.setdefault(line.split(" ")[0], []).append(int(line.split(" ")[3]))
+        # not as written: shuffled out of rank order, or a score inf or of ten digits or more
+        written = (all(r == list(range(1, len(r) + 1)) for r in ranks.values())
+                   and all(re.fullmatch(r"-?\d{1,9}\.\d{6}", line.split(" ")[4])
+                           for line in lines))
+        assert (runs is not None) == written
+        assert bitwise(read_run_file(io.StringIO(text))) == _line_reader(text)  # tags included
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(lines=canonical_runs(), change=st.sampled_from(sorted(PERTURBATIONS)),
@@ -724,11 +731,12 @@ class TestRunReaders:
     @example(scores=[0.5, -2.0], other="+1.5", data=None)
     @example(scores=[0.5, -2.0], other="1e-3", data=None)
     @example(scores=[0.5, -2.0], other="1_0.5", data=None)
+    @example(scores=[-0.0, 0.0], other="-nan", data=None)
     def test_scores_read_as_float_reads_them(self, scores, other, data):
         """Scores as ``%.6f`` writes them, ``-?d+.dddddd``, which numpy
-        converts up to nine integer digits and ``float`` past them, and
-        other score text that ``float`` reads: bit for bit ``float``'s
-        value, and the line reader's."""
+        converts up to nine integer digits, and the line reader past them,
+        as it does other score text that ``float`` reads: bit for bit
+        ``float``'s value.  Runs compare equal bit for bit."""
         texts = ["%.6f" % score for score in scores]
         if other is not None:
             texts[data.draw(st.integers(0, len(texts) - 1)) if data else -1] = other
@@ -737,10 +745,34 @@ class TestRunReaders:
             if other is None:  # numpy converts every score, without float
                 patch.setattr(stoplab.cli, "float", None, raising=False)
             runs = _read_run_columns(text)
-        assert runs is not None
+        assert (runs is None) == (other is not None)
+        runs = read_run_file(io.StringIO(text))
         assert bitwise(runs) == _line_reader(text)
         assert runs[0].scores.view(np.int64).tolist() == (
             np.array([float(s) for s in texts]).view(np.int64).tolist())
+        assert runs == read_run_file(io.StringIO(text))  # a NaN score too
+        zero = runs[0].scores == 0  # -0.0 too, which is not 0.0
+        plus_zero = RankedRun("q", runs[0].docnos, np.where(zero, 0.0, runs[0].scores), "T")
+        assert (runs[0] == plus_zero) == (not np.signbit(runs[0].scores[zero]).any())
+
+    @pytest.mark.parametrize("change", ["reversed lines", "ranks from 0",
+                                        "1000000000.000000", "1e-3", "-nan"])
+    def test_text_write_run_never_writes_is_read_by_lines(self, change):
+        """Text that is canonical but for its ranks or one score, which
+        ``write_run`` never writes: the column reader hands it over."""
+        lines = run_text([RankedRun(qid, ["%s%d" % (qid, i) for i in range(n)],
+                                    np.linspace(n / 3, -n / 7, n), "T")
+                          for qid, n in (("a", 4100), ("b", 3))]).splitlines(keepends=True)
+        assert _read_run_columns("".join(lines)) is not None
+        if change == "reversed lines":
+            lines.reverse()
+        elif change == "ranks from 0":
+            lines = [_set_field(line, 3, str(int(line.split(" ")[3]) - 1)) for line in lines]
+        else:  # a score in the second block
+            lines[4097] = _set_field(lines[4097], 4, change)
+        text = "".join(lines)
+        assert _read_run_columns(text) is None
+        assert bitwise(read_run_file(io.StringIO(text))) == _line_reader(text)
 
     @pytest.mark.parametrize("interleave", [False, True])
     def test_queries_across_blocks_are_read_by_columns(self, interleave):
