@@ -24,14 +24,12 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
-from itertools import compress, count
-from operator import ne
 
 import numpy as np
 
 from . import stoplists
-from .errors import (ParseError, atomic_write, iter_lines, iter_records, read_text,
-                     source_name)
+from .errors import (ParseError, atomic_write, decode, iter_lines, iter_records, read_data,
+                     read_text, source_name)
 from .index import BadDocno, DuplicateDocno, Index, build_index, parse_trec_documents
 from .ranking import (
     DEFAULT_TOP_K,
@@ -238,11 +236,13 @@ def read_run_file(source) -> list[RankedRun]:
     order.  The rank values themselves are not kept: a rank is a position.
     A query's tag comes from its first line.  Text as ``write_run`` writes
     it, ranks ``1..m`` in file order and scores of one to nine integer
-    digits, is read by columns; any other text line by line, to the same runs."""
+    digits, is read by columns from its bytes (gunzipped for a ``.gz``
+    name); any other text, or an open text file, is decoded and read line by
+    line, to the same runs."""
     name = source_name(source, "run")
-    text = read_text(source, name)
-    runs = _read_run_columns(text)
-    return _read_run_lines(text, name) if runs is None else runs
+    data = read_data(source, name)
+    runs = _read_run_columns(data) if isinstance(data, bytes) else None
+    return _read_run_lines(decode(data, name), name) if runs is None else runs
 
 
 def _read_run_lines(text: str, name: str) -> list[RankedRun]:
@@ -286,20 +286,20 @@ _PLACES = 10.0 ** np.array([14, 13, 12, 11, 10, 9, 8, 7, 6, 0, 5, 4, 3, 2, 1, 0]
 _WRITTEN = (np.arange(16) >= 9 - np.arange(10)[:, None]).astype(np.uint8)
 
 
-def _read_run_columns(text: str) -> list[RankedRun] | None:
-    """The runs in ``text`` if it is as ``write_run`` writes it, else None:
+def _read_run_columns(raw: bytes) -> list[RankedRun] | None:
+    """The runs in ``raw`` if it is as ``write_run`` writes it, else None:
     ASCII, each line six fields joined by single spaces and ended by
     ``\\n`` (so its fields are the line reader's), each query's ranks
     ``1..m`` in file order, and each score ``-?d+.dddddd`` with one to nine
     integer digits.  A query's lines may alternate with another's.  None
     also stands for a repeated docno, which the line reader refuses."""
-    if not text.isascii() or not text.endswith("\n"):
+    if not raw.isascii() or not raw.endswith(b"\n"):
         return None
-    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    data = np.frombuffer(raw, dtype=np.uint8)
     block_ends = np.flatnonzero(data == 10)[_BLOCK_LINES - 1:-1:_BLOCK_LINES] + 1
     bounds = [0, *block_ends.tolist(), len(data)]
 
-    columns: dict[str, tuple] = {}  # qid -> tag, docnos, rank texts, score arrays
+    columns: dict[str, tuple] = {}  # qid -> tag, docnos, rank bytes, score arrays
     for start, end in zip(bounds, bounds[1:]):
         block = data[start:end]
         # bytes <= 32, two in a row around an empty field; int32 holds a block below 2 GiB
@@ -309,41 +309,46 @@ def _read_run_columns(text: str) -> list[RankedRun] | None:
             return None
         cuts = cuts.reshape(-1, 6)
         firsts = np.concatenate(([0], cuts[:-1, 5] + 1), dtype=np.int32)  # line starts
-        qids = _column(block, firsts, cuts[:, 0])[0].split()
-        docnos = _column(block, cuts[:, 1] + 1, cuts[:, 2])[0].split()
+        docnos = _column(block, cuts[:, 1] + 1, cuts[:, 2])[0].tobytes().decode("ascii").split()
         ranks, rank_at = _column(block, cuts[:, 2] + 1, cuts[:, 3])
         scores = _scores(block, cuts[:, 3] + 1, cuts[:, 4])
         if scores is None:
             return None
-        # a query's lines in this block run from a change of qid to the next
-        changes = [0, *compress(count(1), map(ne, qids, qids[1:])), len(qids)]
-        at = rank_at[changes].tolist()
-        for a, b, ra, rb in zip(changes, changes[1:], at, at[1:]):
-            if qids[a] not in columns:  # the tag, from the query's first line
-                tag = text[start + int(cuts[a, 4]) + 1:start + int(cuts[a, 5])]
-                columns[qids[a]] = (tag, [], [], [])
-            _, query_docnos, query_ranks, query_scores = columns[qids[a]]
+        # a query's lines in this block run from a change of qid to the next: a line
+        # whose qid and separator differ from as many bytes from the line above's start
+        qids, at = _column(block, firsts, cuts[:, 0])
+        above = np.concatenate(([0], firsts[:-1]), dtype=np.int32)
+        differ = np.flatnonzero(qids != _column(block, above, cuts[:, 0] - firsts + above)[0])
+        changes = [0, *dict.fromkeys(at[1:].searchsorted(differ, "right").tolist()), len(cuts)]
+        marks = rank_at[changes].tolist()
+        heads = np.column_stack((firsts, cuts))[changes[:-1]].tolist()  # line start, cuts
+        for a, b, ra, rb, head in zip(changes, changes[1:], marks, marks[1:], heads):
+            qid = raw[start + head[0]:start + head[1]].decode()  # ASCII, as checked
+            if qid not in columns:  # the tag, from the query's first line
+                columns[qid] = (raw[start + head[5] + 1:start + head[6]].decode(), [], [], [])
+            _, query_docnos, query_ranks, query_scores = columns[qid]
             query_docnos += docnos[a:b]
             query_ranks.append(ranks[ra:rb])
             query_scores.append(scores[a:b])
 
     longest = max(len(docnos) for _, docnos, _, _ in columns.values())
-    in_order = " ".join(map(str, range(1, longest + 1))) + " "
+    in_order = " ".join(map(str, range(1, longest + 1))).encode() + b" "
     runs = []
     for qid, (tag, docnos, ranks, scores) in columns.items():
-        if len(set(docnos)) != len(docnos) or not in_order.startswith("".join(ranks)):
+        if len(set(docnos)) != len(docnos) or not in_order.startswith(b"".join(ranks)):
             return None
         runs.append(RankedRun(qid, docnos, np.concatenate(scores), tag))
     return runs
 
 
 def _column(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):
-    """The fields ``block[starts[i]:stops[i]]``, each with the separator at
-    ``stops[i]``, as one string, and where each starts in it, then its length."""
+    """The bytes of the fields ``block[starts[i]:stops[i]]``, each with the
+    separator at ``stops[i]``, one after another, and where each starts
+    among them, then their count."""
     lengths = stops + 1 - starts
     at = np.concatenate(([0], np.cumsum(lengths)), dtype=np.int32)
     index = np.arange(at[-1], dtype=np.int32) + np.repeat(starts - at[:-1], lengths)
-    return block.take(index).tobytes().decode("ascii"), at
+    return block.take(index), at
 
 
 def _scores(block: np.ndarray, starts: np.ndarray, stops: np.ndarray):

@@ -35,31 +35,44 @@ def read_bytes(source, role: str):
         raise ParseError("%s: %s" % (source_name(source, role), exc.strerror)) from None
 
 
-def read_text(source, role: str, encoding: str = "utf-8") -> str:
-    """Read a path, gunzipping names that end in ``.gz``, or an open text or
-    binary file, to one string less one leading byte-order mark.  This is
-    the only place where stoplab turns bytes into text.  A path that cannot
-    be read, a damaged gzip file, or bytes that do not decode (an open text
-    file's own decoder included) raise :class:`ParseError` naming the source."""
+def read_data(source, role: str):
+    """A path's bytes, gunzipped if its name ends in ``.gz``, or what an open
+    file holds from where it stands (a text file's string): what
+    :func:`read_text` decodes.  A damaged gzip file, or bytes that a text
+    file's own decoder refuses, raise :class:`ParseError` naming the source."""
     name = source_name(source, role)
     try:
         data = read_bytes(source, role)
-    except UnicodeDecodeError as exc:  # a text file: decode its bytes below
-        data, encoding = exc.object, getattr(source, "encoding", exc.encoding)
-    if isinstance(data, str):
-        return data.removeprefix("\ufeff")
-    if name.endswith(".gz"):
-        try:
-            data = gzip.GzipFile(fileobj=io.BytesIO(data)).read()
-        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-            raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
+    except UnicodeDecodeError as exc:  # from a text file's own decoder
+        raise _invalid(exc, name, getattr(source, "encoding", exc.encoding)) from None
+    if isinstance(data, str) or not name.endswith(".gz"):
+        return data
     try:
-        return data.decode(encoding).removeprefix("\ufeff")
+        return gzip.GzipFile(fileobj=io.BytesIO(data)).read()
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise ParseError("%s: damaged gzip file: %s" % (name, exc)) from None
+
+
+def decode(data, name: str, encoding: str = "utf-8") -> str:
+    """Bytes or a string as one string less one leading byte-order mark: the
+    only place where stoplab decodes an input, naming ``name`` if it fails."""
+    try:
+        text = data if isinstance(data, str) else data.decode(encoding)
     except UnicodeDecodeError as exc:
-        head = data[: exc.start]  # lines end at \n, \r\n or \r, as in iter_lines
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError("%s line %d: invalid %s at byte %d: %s"
-                         % (name, line, encoding, exc.start, exc.reason)) from None
+        raise _invalid(exc, name, encoding) from None
+    return text.removeprefix("\ufeff")
+
+
+def _invalid(exc: UnicodeDecodeError, name: str, encoding: str) -> ParseError:
+    head = exc.object[: exc.start]  # lines end at \n, \r\n or \r, as in iter_lines
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return ParseError("%s line %d: invalid %s at byte %d: %s"
+                      % (name, line, encoding, exc.start, exc.reason))
+
+
+def read_text(source, role: str, encoding: str = "utf-8") -> str:
+    """:func:`read_data` of a path or an open file, decoded by :func:`decode`."""
+    return decode(read_data(source, role), source_name(source, role), encoding)
 
 
 def iter_lines(source, role: str):

@@ -11,7 +11,8 @@ never from what was retrieved.
 
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
+
+import numpy as np
 
 from .errors import ParseError, iter_records, read_text, source_name
 from .ranking import RankedRun
@@ -77,29 +78,27 @@ def evaluate_query(run: RankedRun, relevant: set[str]) -> QueryEval:
     but callers exclude it from aggregates.
     """
     num_relevant = len(relevant)
-    flags = [docno in relevant for docno in run.docnos]
-    hits = list(accumulate(flags, initial=0))  # relevant among the first r
-    # precision at each rank that retrieves a relevant document, in order
-    precision = [h / r for h, r in enumerate(compress(count(1), flags), start=1)]
-    average_precision = left_sum(precision) / num_relevant if num_relevant else 0.0
-    interp = tuple(
-        max((p for h, p in enumerate(precision, start=1)
-             if h / num_relevant >= level), default=0.0)
-        for level in RECALL_LEVELS
-    )
-    n = len(flags)
-    cutoffs = {k: hits[min(k, n)] / k for k in CUTOFF_LEVELS}
-    r_precision = hits[min(num_relevant, n)] / num_relevant if num_relevant else 0.0
+    n = len(run.docnos)
+    # the rank of each relevant document retrieved, then the precision there
+    ranks = np.flatnonzero(np.fromiter(map(relevant.__contains__, run.docnos), bool, n)) + 1
+    found = np.arange(1, len(ranks) + 1)
+    precision = found / ranks
+    average_precision = left_sum(precision.tolist()) / num_relevant if num_relevant else 0.0
+    # recall rises with rank, so each level's best precision is a suffix maximum
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
+    interp = best[np.searchsorted(found / max(num_relevant, 1), RECALL_LEVELS)]
+    # relevant documents retrieved within each cutoff, then within R
+    hits = np.searchsorted(ranks, (*CUTOFF_LEVELS, num_relevant), "right")
 
     return QueryEval(
         qid=run.qid,
         num_relevant=num_relevant,
         num_retrieved=n,
-        num_relevant_retrieved=hits[-1],
+        num_relevant_retrieved=len(ranks),
         average_precision=average_precision,
-        interp_precision=interp,
-        cutoff_precision=cutoffs,
-        r_precision=r_precision,
+        interp_precision=tuple(interp.tolist()),
+        cutoff_precision=dict(zip(CUTOFF_LEVELS, (hits[:-1] / CUTOFF_LEVELS).tolist())),
+        r_precision=int(hits[-1]) / num_relevant if num_relevant else 0.0,
     )
 
 

@@ -263,3 +263,35 @@ def wilcoxon_exact_enumeration(diffs):
         if w <= lo or w >= hi:
             count += 1
     return min(1.0, count / 2**n)
+
+
+def evaluate_by_definition(docnos, relevant, cutoffs, levels):
+    """One query's measures from their definitions, rank by rank, as
+    :class:`stoplab.treceval.QueryEval`'s fields less the qid.  AP adds the
+    precision at each relevant rank left to right, then divides by R, the
+    number of relevant documents.  The interpolated precision at a recall
+    level is the highest precision at any rank whose recall reaches it.
+    P@k is the relevant share of the first k ranks, k counted even where the
+    run is shorter; R-precision is P@R.  With R = 0 every measure is 0."""
+    R = len(relevant)
+    found, total, at_rank = 0, 0.0, []  # (precision, recall) at each rank
+    for rank, docno in enumerate(docnos, start=1):
+        if docno in relevant:
+            found += 1
+            total += found / rank
+        at_rank.append((found / rank, found / R if R else 0.0))
+
+    def precision_at(k):
+        return sum(1 for docno in docnos[:k] if docno in relevant) / k
+
+    return {
+        "num_relevant": R,
+        "num_retrieved": len(docnos),
+        "num_relevant_retrieved": found,
+        "average_precision": total / R if R else 0.0,
+        "interp_precision": tuple(
+            max([p for p, recall in at_rank if recall >= level], default=0.0)
+            for level in levels),
+        "cutoff_precision": {k: precision_at(k) for k in cutoffs},
+        "r_precision": precision_at(R) if R else 0.0,
+    }

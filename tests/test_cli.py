@@ -594,13 +594,13 @@ class TestRunFileRoundTrip:
     @given(runs=ranked_runs(), data=st.data())
     def test_written_runs_read_back_in_any_line_order(self, runs, data):
         text = run_text(runs)
-        back = read_run_file(io.StringIO(text))
+        back = read_run_file(io.BytesIO(text.encode()))
         assert [(r.qid, r.tag, r.docnos) for r in back] == [
             (r.qid, r.tag, r.docnos) for r in runs]
         for run, read in zip(runs, back):
             assert read.scores.tolist() == [float("%.6f" % s) for s in run.scores.tolist()]
         shuffled = data.draw(st.permutations(text.splitlines(keepends=True)))
-        assert columns(read_run_file(io.StringIO("".join(shuffled)))) == columns(back)
+        assert columns(read_run_file(io.BytesIO("".join(shuffled).encode()))) == columns(back)
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(lines=st.lists(st.tuples(names, st.integers(-2, 3), st.floats(-9, 9)),
@@ -611,7 +611,7 @@ class TestRunFileRoundTrip:
         by_rank = [(docno, float("%.6f" % score))
                    for rank in sorted({r for _, r, _ in lines})
                    for docno, r, score in lines if r == rank]
-        runs = read_run_file(io.StringIO(text))
+        runs = read_run_file(io.BytesIO(text.encode()))
         assert [list(zip(r.docnos, r.scores.tolist())) for r in runs] == (
             [by_rank] if lines else [])
 
@@ -698,7 +698,7 @@ class TestRunReaders:
     @given(lines=canonical_runs())
     def test_canonical_text_is_read_by_columns(self, lines):
         text = "".join(lines)
-        runs = _read_run_columns(text)
+        runs = _read_run_columns(text.encode())
         ranks: dict[str, list[int]] = {}
         for line in lines:
             ranks.setdefault(line.split(" ")[0], []).append(int(line.split(" ")[3]))
@@ -707,7 +707,7 @@ class TestRunReaders:
                    and all(re.fullmatch(r"-?\d{1,9}\.\d{6}", line.split(" ")[4])
                            for line in lines))
         assert (runs is not None) == written
-        assert bitwise(read_run_file(io.StringIO(text))) == _line_reader(text)  # tags included
+        assert bitwise(read_run_file(io.BytesIO(text.encode()))) == _line_reader(text)  # tags included
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(lines=canonical_runs(), change=st.sampled_from(sorted(PERTURBATIONS)),
@@ -717,7 +717,7 @@ class TestRunReaders:
         lines[i] = PERTURBATIONS[change](lines[i], i)
         text = "".join(lines)
         try:
-            got = bitwise(read_run_file(io.StringIO(text)))
+            got = bitwise(read_run_file(io.BytesIO(text.encode())))
         except ParseError as exc:
             got = str(exc)
         assert got == _line_reader(text)
@@ -744,13 +744,13 @@ class TestRunReaders:
         with pytest.MonkeyPatch.context() as patch:
             if other is None:  # numpy converts every score, without float
                 patch.setattr(stoplab.cli, "float", None, raising=False)
-            runs = _read_run_columns(text)
+            runs = _read_run_columns(text.encode())
         assert (runs is None) == (other is not None)
-        runs = read_run_file(io.StringIO(text))
+        runs = read_run_file(io.BytesIO(text.encode()))
         assert bitwise(runs) == _line_reader(text)
         assert runs[0].scores.view(np.int64).tolist() == (
             np.array([float(s) for s in texts]).view(np.int64).tolist())
-        assert runs == read_run_file(io.StringIO(text))  # a NaN score too
+        assert runs == read_run_file(io.BytesIO(text.encode()))  # a NaN score too
         zero = runs[0].scores == 0  # -0.0 too, which is not 0.0
         plus_zero = RankedRun("q", runs[0].docnos, np.where(zero, 0.0, runs[0].scores), "T")
         assert (runs[0] == plus_zero) == (not np.signbit(runs[0].scores[zero]).any())
@@ -763,7 +763,7 @@ class TestRunReaders:
         lines = run_text([RankedRun(qid, ["%s%d" % (qid, i) for i in range(n)],
                                     np.linspace(n / 3, -n / 7, n), "T")
                           for qid, n in (("a", 4100), ("b", 3))]).splitlines(keepends=True)
-        assert _read_run_columns("".join(lines)) is not None
+        assert _read_run_columns("".join(lines).encode()) is not None
         if change == "reversed lines":
             lines.reverse()
         elif change == "ranks from 0":
@@ -771,8 +771,8 @@ class TestRunReaders:
         else:  # a score in the second block
             lines[4097] = _set_field(lines[4097], 4, change)
         text = "".join(lines)
-        assert _read_run_columns(text) is None
-        assert bitwise(read_run_file(io.StringIO(text))) == _line_reader(text)
+        assert _read_run_columns(text.encode()) is None
+        assert bitwise(read_run_file(io.BytesIO(text.encode()))) == _line_reader(text)
 
     @pytest.mark.parametrize("interleave", [False, True])
     def test_queries_across_blocks_are_read_by_columns(self, interleave):
@@ -786,11 +786,59 @@ class TestRunReaders:
             lines = [*(line for pair in zip(lines, lines[5000:]) for line in pair),
                      *lines[3100:5000]]
         text = "".join(lines)
-        got = _read_run_columns(text)
+        got = _read_run_columns(text.encode())
         assert got is not None
         assert bitwise(got) == _line_reader(text)
         assert [(r.qid, r.docnos, r.tag) for r in got] == [
             (r.qid, r.docnos, r.tag) for r in runs]
+
+    # each case's queries, in file order, as (qid, lines); "alternating"
+    # interleaves its queries' lines one by one
+    QID_CASES = {
+        "prefixes": [(qid, 3) for qid in ("100", "10", "1", "a", "ab", "abc", "b")],
+        "alternating": [("1", 40), ("12", 40), ("123", 40)],
+        "change on the block boundary": [("5", 4096), ("55", 3), ("5x", 2)],
+        "change one line after it": [("55", 4097), ("5", 3)],
+    }
+
+    @pytest.mark.parametrize("case", sorted(QID_CASES))
+    def test_qid_changes_are_found_from_bytes(self, case):
+        """Where neighbouring qids are prefixes of one another, where qids of
+        different lengths alternate line by line, and where a query changes
+        on the first line of a block or the line after it, the column reader
+        finds each query's lines as the line reader does, bit for bit."""
+        runs = [RankedRun(qid, ["D%d" % i for i in range(n)],
+                          np.linspace(n / 3, -n / 7, n), "T" + qid)
+                for qid, n in self.QID_CASES[case]]
+        lines = [run_text([run]).splitlines(keepends=True) for run in runs]
+        if case == "alternating":
+            lines = [[line for group in zip(*lines) for line in group]]
+        text = "".join(line for group in lines for line in group)
+        got = _read_run_columns(text.encode())
+        assert got is not None
+        assert bitwise(got) == _line_reader(text)
+        assert [r.qid for r in got] == [qid for qid, _ in self.QID_CASES[case]]
+
+
+@pytest.mark.parametrize("by", ["columns", "lines"])
+def test_gzipped_run_reads_as_the_plain_file(tmp_path, by):
+    """A ``.gz`` run is gunzipped, then read by columns as ``search`` writes
+    it or line by line otherwise (here ``\\r\\n`` line ends), to the runs of
+    the plain file, and of the same file opened as text."""
+    text = run_text([RankedRun(qid, ["D%d" % i for i in range(n)],
+                               np.linspace(n / 3, -n / 7, n), "T")
+                     for qid, n in (("1", 5000), ("2", 7))])
+    if by == "lines":
+        text = text.replace("\n", "\r\n")
+    assert (_read_run_columns(text.encode()) is None) == (by == "lines")
+    plain, gz = tmp_path / "x.run", tmp_path / "x.run.gz"
+    plain.write_bytes(text.encode())
+    gz.write_bytes(gzip.compress(text.encode()))
+    want = bitwise(read_run_file(plain))
+    assert want == _line_reader(text.replace("\r\n", "\n"))
+    assert bitwise(read_run_file(str(gz))) == want
+    with open(plain, encoding="utf-8") as f:
+        assert bitwise(read_run_file(f)) == want
 
 
 def memory_guard_text() -> str:
@@ -810,7 +858,7 @@ def test_run_reader_peak_memory(tmp_path):
     first time in a process)."""
     path = tmp_path / "guard.run"
     path.write_text(memory_guard_text(), encoding="ascii")
-    assert _read_run_columns(path.read_text(encoding="ascii")) is not None
+    assert _read_run_columns(path.read_bytes()) is not None
     tracemalloc.start()
     try:
         runs = read_run_file(path)

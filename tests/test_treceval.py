@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import random
 from pathlib import Path
@@ -16,6 +17,8 @@ from stoplab.treceval import (
     evaluate_run,
     parse_qrels,
 )
+
+import oracles
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -176,6 +179,47 @@ class TestEvaluateQuery:
             curve = ev.interp_precision
             assert all(a >= b for a, b in zip(curve, curve[1:]))
             assert all(0.0 <= p <= 1.0 for p in curve)
+
+
+@st.composite
+def judged_runs(draw):
+    """A run of D0, D1, ... and a relevant set over a wider range, so that
+    some relevant documents are never retrieved: empty runs, no relevant
+    documents, and runs shorter than some or every cutoff among the draws."""
+    n = draw(st.sampled_from([0, 1, 5, 30]) | st.integers(0, 1100))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    docnos = ["D%d" % i for i in range(n)]
+    return docnos, {"D%d" % i for i in range(n + draw(st.integers(0, 10)))
+                    if rng.random() < share}
+
+
+def float_bits(value):
+    """``value`` with every float as its hex form, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: float_bits(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(map(float_bits, value))
+    return value
+
+
+class TestEvaluateQueryByDefinition:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(run=judged_runs())
+    @example(run=([], set()))
+    @example(run=([], {"D1"}))
+    @example(run=(["D0", "D1"], set()))
+    @example(run=(["D0", "D1"], {"D5", "D6"}))  # relevant, never retrieved
+    @example(run=(["D%d" % i for i in range(1200)], {"D%d" % i for i in range(0, 1300, 7)}))
+    def test_evaluate_query_is_the_oracle_bit_for_bit(self, run):
+        docnos, relevant = run
+        got = dataclasses.asdict(evaluate_query(run_of("q", docnos), relevant))
+        assert got.pop("qid") == "q"
+        want = oracles.evaluate_by_definition(docnos, relevant, CUTOFF_LEVELS, RECALL_LEVELS)
+        assert float_bits(got) == float_bits(want)
+        assert all(type(got[k]) is type(want[k]) for k in want)
 
 
 class TestEvaluateRun:
