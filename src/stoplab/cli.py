@@ -54,6 +54,7 @@ MODELS = ("TFIDF", "BM25", "KL")
 PARAMS = {"TFIDF": TFIDFParams, "BM25": BM25Params, "KL": DirichletParams}
 ENCODINGS = {"utf8": "utf-8", "cp1256": "cp1256"}
 SIGNIFICANCE_LEVEL = 0.05
+CORPUS_SLICE = 1 << 20  # index decodes a corpus file about this many bytes at a time
 BUNDLED = ("GS", "CBS", "CS")  # stoplist codes that name no file
 
 
@@ -478,12 +479,28 @@ def cmd_index(args) -> int:
     sources: list[str] = []  # the corpus file of each document, by ordinal
 
     def documents():
+        encoding = ENCODINGS[args.encoding]
         for path in paths:
             before = len(sources)
-            text = read_text(path, "corpus", ENCODINGS[args.encoding])
-            for doc in parse_trec_documents(text, path):
-                sources.append(path)
-                yield doc
+            data = read_data(path, "corpus")
+            # slices cut just after a </DOC>, which is ASCII in both
+            # encodings, split no character and no block, so they parse as
+            # the whole file would; a fault is raised again from the whole
+            # file, so its message names the file's own lines and offsets
+            try:
+                start = 0
+                while start < len(data):
+                    end = data.find(b"</DOC>", start + CORPUS_SLICE)
+                    end = len(data) if end == -1 else end + 6
+                    for doc in parse_trec_documents(
+                            decode(data[start:end], path, encoding), path):
+                        sources.append(path)
+                        yield doc
+                    start = end
+            except ParseError:
+                for _ in parse_trec_documents(decode(data, path, encoding), path):
+                    pass
+                raise
             if len(sources) == before:  # empty, or not a corpus at all
                 raise ParseError("%s: no <DOC> blocks" % path)
 

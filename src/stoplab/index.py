@@ -54,6 +54,11 @@ MAGIC = b"ARIDX002"
 _HEADER = struct.Struct("<8s4Q")
 _CHECKSUM = struct.Struct("<I")
 _U32 = np.dtype("<u4")
+# build_index holds token offsets in int32 while the token stream has fewer
+# tokens than STREAM_LIMIT, and its sort keys in uint32 while every key,
+# below len(terms) * N, is below KEY_LIMIT; in int64 otherwise
+STREAM_LIMIT = 1 << 31
+KEY_LIMIT = 1 << 32
 
 _DOCNO_RE = re.compile(r"<DOCNO>(.*?)</DOCNO>", re.S)
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -253,13 +258,8 @@ class Index:
     def save(self, dest) -> None:
         """Write the index to a binary file object, or to a path by way of
         :func:`~stoplab.errors.atomic_write`, so a failed save leaves the
-        path as it was."""
-        data = self._encode()
-        to_path = not hasattr(dest, "write")
-        with atomic_write(dest, binary=True) if to_path else nullcontext(dest) as f:
-            f.write(data)
-
-    def _encode(self) -> bytes:
+        path as it was.  The parts are written one at a time through a
+        running CRC-32, so the file's bytes are never joined in memory."""
         meta = {
             "docnos": self.docnos,
             "terms": self.terms,
@@ -275,13 +275,16 @@ class Index:
         blob = json.dumps(
             meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        data = b"".join([
-            _HEADER.pack(MAGIC, self.N, len(self.terms), len(self.pairs), len(blob)),
-            *(np.asarray(column, dtype=_U32).tobytes()
-              for column in (self.doc_lengths, self.doc_freqs, self.pairs)),
-            blob,
-        ])
-        return data + _CHECKSUM.pack(zlib.crc32(data))
+        header = _HEADER.pack(MAGIC, self.N, len(self.terms), len(self.pairs), len(blob))
+        columns = (np.asarray(column, dtype=_U32)
+                   for column in (self.doc_lengths, self.doc_freqs, self.pairs))
+        to_path = not hasattr(dest, "write")
+        with atomic_write(dest, binary=True) if to_path else nullcontext(dest) as f:
+            crc = 0
+            for part in (header, *columns, blob):
+                f.write(part)
+                crc = zlib.crc32(part, crc)
+            f.write(_CHECKSUM.pack(crc))
 
     @classmethod
     def load(cls, src) -> "Index":
@@ -376,7 +379,10 @@ def build_index(
     Repeated along the chunk stream, these give one position per token;
     one mask drops the stopwords, and one in-place sort of a key per kept
     token, position * N + doc ordinal, puts the tokens in postings order:
-    each run of equal keys is one posting, and its length is the tf.
+    each run of equal keys is one posting, and its length is the tf.  The
+    token offsets are int32 and the keys uint32 while they fit (see
+    ``STREAM_LIMIT`` and ``KEY_LIMIT``), and each array is freed once used,
+    so the build's peak stays near 15 bytes per token.
     ``workers`` has no effect: the build is serial, since tokenization
     holds the GIL and threads only slowed it down.
     """
@@ -403,34 +409,70 @@ def build_index(
     del batch, chunk_table, position  # freed early, to keep the peak low
     chunk = np.frombuffer(chunk_ids, dtype=np.uint32)
     ends = np.array(ends, dtype=np.int64)
-    repeats = np.diff(ends, prepend=0)[chunk]  # tokens per chunk occurrence
-    through = np.zeros(len(chunk) + 1, dtype=np.int64)  # tokens before each occurrence
-    np.cumsum(repeats, out=through[1:])
-    # occurrence i, of chunk c, puts chunk_positions[ends[c] - repeats[i]:ends[c]]
+    sizes = np.diff(ends, prepend=0)  # tokens per distinct chunk
+    tokens = int(np.bincount(chunk, minlength=len(sizes)) @ sizes)  # stopwords included
+    offset = np.int32 if tokens < STREAM_LIMIT else np.int64  # holds any token offset
+    # occurrence i, of chunk c, puts chunk_positions[first[i]:first[i] + repeats[i]]
     # at through[i]:through[i + 1] of the token stream
-    where = np.repeat(ends[chunk] - through[1:], repeats)
-    where += np.arange(len(where))
-    high = chunk_positions[where]  # each token's position: its key's high part
+    first = (ends - sizes).astype(offset)[chunk]
+    repeats = sizes.astype(offset)[chunk]
+    del chunk, chunk_ids, ends, sizes  # each array is freed once used, to keep the peak low
+    through = np.zeros(len(repeats) + 1, dtype=offset)  # tokens before each occurrence
+    np.cumsum(repeats, dtype=offset, out=through[1:])
     lengths = np.diff(through[np.cumsum(chunk_counts)], prepend=0)  # stopwords included
-    del chunk, chunk_ids, chunk_positions, repeats, through, where
-    doc = np.repeat(np.arange(n, dtype=np.uint32), lengths)
-    if stoplist:  # one mask drops the stopwords
-        kept = high >= 0
-        high, doc = high[kept], doc[kept]
-    removed = int(lengths.sum()) - len(high)
-    doc_lengths = np.bincount(doc, minlength=n).astype(np.uint32)
-    keys = high.astype(np.int64)
+    at = through[:-1]
+    if not repeats.all():  # an occurrence without tokens puts nothing
+        some = repeats != 0
+        first, repeats, at = first[some], repeats[some], at[some]
+        del some
+    del through
+    # a token's index into chunk_positions is one more than the token
+    # before's, except at an occurrence's first token, which jumps from the
+    # occurrence before's last index: where is a running sum of ones and jumps
+    repeats += first  # one past the last index of each occurrence
+    repeats -= 1
+    first[1:] -= repeats[:-1]
+    del repeats
+    where = np.ones(tokens, dtype=offset)
+    where[at] = first
+    del at, first
+    np.cumsum(where, dtype=offset, out=where)
+    high = chunk_positions[where]  # each token's position: its key's high part
+    del where, chunk_positions
+    kept = high >= 0 if stoplist else None
+    # a kept token's key, position * N + doc ordinal; a stopword's, from
+    # position -1, is dropped
+    keys = high.view(np.uint32) if len(terms) * n <= KEY_LIMIT else high.astype(np.int64)
+    del high
     keys *= n
-    keys += doc
-    del high, doc  # freed before the postings arrays, to keep the peak low
+    keys += np.repeat(np.arange(n, dtype=np.uint32), lengths)
+    if stoplist:  # one mask drops the stopwords
+        keys = keys[kept]
+    del kept
+    removed = tokens - len(keys)
     keys.sort()
     # a posting starts at the first key and wherever the key changes
-    starts = np.flatnonzero(np.concatenate(([len(keys) > 0], keys[1:] != keys[:-1])))
-    pairs = np.empty((len(starts), 2), dtype=np.uint32)  # (ordinal, tf) rows
-    pairs[:, 1] = np.diff(starts, append=len(keys))
-    keys = keys[starts]  # one key per posting
-    doc_freqs = np.bincount(keys // n, minlength=len(terms)).astype(np.uint32)
-    pairs[:, 0] = keys % n
+    change = np.empty(len(keys), dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    end = len(keys)
+    keys = keys[change]  # one key per posting
+    starts = np.flatnonzero(change)
+    del change
+    tfs = np.empty(len(keys), dtype=np.uint32)  # each runs to the next start
+    np.subtract(starts[1:], starts[:-1], out=tfs[:-1], casting="unsafe")
+    tfs[-1:] = end - starts[-1:]
+    del starts
+    # term i's keys run from i * N up to (i + 1) * N
+    heads = np.searchsorted(keys, np.arange(len(terms), dtype=keys.dtype) * n)
+    doc_freqs = np.diff(heads, append=len(keys)).astype(np.uint32)
+    keys %= n
+    pairs = np.empty((len(keys), 2), dtype=np.uint32)  # (ordinal, tf) rows
+    pairs[:, 0], pairs[:, 1] = keys, tfs
+    del keys, tfs
+    # a document's length is the sum of its tfs
+    doc_lengths = np.zeros(n, dtype=np.uint32)
+    np.add.at(doc_lengths, pairs[:, 0], pairs[:, 1])
     index = Index(
         docnos=docnos,
         doc_lengths=doc_lengths,

@@ -354,13 +354,23 @@ class TestSerialization:
         assert loaded.stoplist == idx.stoplist
         assert loaded.stopwords_removed == idx.stopwords_removed
 
-    def test_serialize_deserialize_serialize_identical(self):
+    def test_serialize_deserialize_serialize_identical(self, tmp_path, monkeypatch):
         rng = random.Random(23)
-        for _ in range(10):
+        for trial in range(10):
             docs = [(d, " ".join(t)) for d, t in random_corpus(rng, max_docs=40)]
-            idx = build_index(docs)
+            stoplist = Stoplist("odd", frozenset(
+                {t for _, text in docs for t in text.split() if int(t[1:]) % 2}))
+            idx = build_index(docs, stoplist=stoplist if trial % 2 else None)
             blob = serialized(idx)
             assert serialized(Index.load(io.BytesIO(blob))) == blob
+            idx.save(tmp_path / "i.idx")
+            assert (tmp_path / "i.idx").read_bytes() == blob
+            # the same build with int64 token offsets and sort keys
+            with monkeypatch.context() as m:
+                m.setattr(stoplab.index, "STREAM_LIMIT", 0)
+                m.setattr(stoplab.index, "KEY_LIMIT", 0)
+                wide = build_index(docs, stoplist=idx.stoplist)
+            assert serialized(wide) == blob
 
     def test_build_determinism(self):
         rng = random.Random(24)
