@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 data or parse error.
 
 import argparse
 import io
-import logging
 import math
 import os
 import re
@@ -41,7 +40,7 @@ from .ranking import (
     TFIDFParams,
 )
 from .sigtest import friedman, left_sum, wilcoxon_signed_rank
-from .stoplists import Stoplist, build_corpus_stoplist, combine, load_stoplist
+from .stoplists import Stoplist, build_corpus_stoplist, combine, load_stoplist, write_stoplist
 from .treceval import (
     CUTOFF_LEVELS,
     RECALL_LEVELS,
@@ -79,12 +78,9 @@ def read_config(path) -> list[tuple[int, str, str]]:
     config: list[tuple[int, str, str]] = []
     name = source_name(path, "config")
     for lineno, line in iter_lines(path, name):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        if "=" not in s:
+        if "=" not in line:
             raise ParseError("%s line %d: expected key=value" % (name, lineno))
-        key, value = s.split("=", 1)
+        key, value = line.split("=", 1)
         config.append((lineno, key.strip(), value.strip()))
     return config
 
@@ -159,14 +155,6 @@ def _resolve_stoplist(selection: str) -> Stoplist:
         return load_stoplist(selection, name=name, provenance="custom")
     except ValueError as exc:  # the name, which comes from the file's
         raise ParseError("%s: %s" % (selection, exc)) from None
-
-
-def write_stoplist(stoplist: Stoplist, out) -> None:
-    out.write("# stoplist: %s\n" % stoplist.name)
-    out.write("# provenance: %s\n" % stoplist.provenance)
-    out.write("# words: %d\n" % len(stoplist))
-    for word in sorted(stoplist.words):
-        out.write(word + "\n")
 
 
 # -- topic files ------------------------------------------------------------
@@ -783,7 +771,6 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

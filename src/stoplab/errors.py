@@ -76,11 +76,13 @@ def read_text(source, role: str, encoding: str = "utf-8") -> str:
 
 
 def iter_lines(source, role: str):
-    """Iterate ``(line number, line)`` from 1 over the text that
-    :func:`read_text` reads from a path or an open file, split with
-    universal newlines: the reader of stoplists and configs.  A plain
-    iterator, not a generator."""
-    return enumerate(io.StringIO(read_text(source, role), newline=None), start=1)
+    """Iterate ``(line number, stripped line)`` over the content lines of the
+    text that :func:`read_text` reads from a path or an open file, split with
+    universal newlines and numbered from 1: the reader of stoplists and
+    configs.  A content line is not blank once stripped and does not start
+    with ``#``.  The source is read at the call, not at the first step."""
+    lines = (line.strip() for line in io.StringIO(read_text(source, role), newline=None))
+    return ((n, s) for n, s in enumerate(lines, start=1) if s and not s.startswith("#"))
 
 
 def iter_records(text: str, name: str, width: int, sep: str | None = None):

@@ -1,4 +1,4 @@
-"""Stoplist construction, loading, combination and application.
+"""Stoplist construction, loading, writing, combination and application.
 
 Three strategies are supported, identified by short codes:
 
@@ -12,8 +12,8 @@ All words are stored normalized (see :mod:`stoplab.textpipe`), so membership
 tests agree with the token stream.  Stoplists are immutable and safe to
 share between threads.
 
-File format: UTF-8, one word per line, blank lines and ``#`` comment lines
-ignored, no ordering requirement.
+File format: UTF-8, one word per line, no ordering requirement; blank lines
+and ``#`` comment lines, :func:`write_stoplist`'s header among them, skipped.
 """
 
 from collections.abc import Iterable, Mapping
@@ -63,16 +63,21 @@ def load_stoplist(source, name: str, provenance: str = "custom") -> Stoplist:
     """
     words = set()
     where = source_name(source, "stoplist")
-    for lineno, line in iter_lines(source, where):
-        word = line.strip()
-        if not word or word.startswith("#"):
-            continue
+    for lineno, word in iter_lines(source, where):
         word = normalize(word)
         if tokenize(word) != [word]:
             raise ParseError("%s line %d: stopword %r is not one token"
                              % (where, lineno, word))
         words.add(word)
     return Stoplist(name=name, words=frozenset(words), provenance=provenance)
+
+
+def write_stoplist(stoplist: Stoplist, out) -> None:
+    """Write ``stoplist`` to the open text file ``out``, sorted, after three
+    ``#`` header lines (name, provenance, size) that the loader skips."""
+    out.write("# stoplist: %s\n# provenance: %s\n# words: %d\n"
+              % (stoplist.name, stoplist.provenance, len(stoplist)))
+    out.writelines(word + "\n" for word in sorted(stoplist.words))
 
 
 def build_corpus_stoplist(

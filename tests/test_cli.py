@@ -1,9 +1,12 @@
 import gzip
 import hashlib
 import io
+import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -360,6 +363,38 @@ class TestSearchCommand:
         assert run.entries[0].score == pytest.approx(
             float("%.6f" % (math.log(1 + 6 / 2000) + math.log(2000 / 2002)))
         )
+
+
+# two searches in one process, each with stderr redirected on its own: a
+# library warning goes to the stderr of its own call.  Run in a subprocess,
+# since pytest's logging plugin holds handlers of the root logger in-process.
+TWO_SEARCHES = """
+import contextlib, io, json, sys
+from stoplab.cli import main
+captures = []
+for _ in range(2):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(sys.argv[1:]) == 0
+    captures.append(err.getvalue())
+print(json.dumps(captures))
+"""
+
+
+def test_each_search_prints_its_own_absent_term_warning(toy):
+    tmp, corpus, _ = toy
+    idx, topics = tmp / "t.idx", tmp / "absent.txt"
+    assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+    topics.write_text("<top><num>7</num><title>a zzzq</title></top>\n", encoding="utf-8")
+    src = str(Path(stoplab.cli.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_SEARCHES, "search", "--index", str(idx),
+         "--topics", str(topics), "--model", "KL"],
+        capture_output=True, text=True, env=env, check=True)
+    warning = "query 7: term 'zzzq' absent from collection, dropped\n"
+    assert json.loads(proc.stdout) == [warning, warning]
 
 
 topic_words = st.text(st.sampled_from("abxyzقالمن"), min_size=1, max_size=6)

