@@ -23,6 +23,7 @@ import re
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
+from itertools import compress
 
 import numpy as np
 
@@ -54,7 +55,6 @@ PARAMS = {"TFIDF": TFIDFParams, "BM25": BM25Params, "KL": DirichletParams}
 ENCODINGS = {"utf8": "utf-8", "cp1256": "cp1256"}
 SIGNIFICANCE_LEVEL = 0.05
 CORPUS_SLICE = 1 << 20  # index decodes a corpus file about this many bytes at a time
-BUNDLED = ("GS", "CBS", "CS")  # stoplist codes that name no file
 
 
 class UsageError(Exception):
@@ -140,7 +140,7 @@ def _expand_paths(paths: list[str], out_path: str) -> list[str]:
 def _check_out(out_path, *paths, lists=()) -> None:
     """Refuse an ``out_path`` that would overwrite an input: one of ``paths``
     (None where not given) or of the stoplist selections ``lists``."""
-    files = [*paths, *(s for s in lists if s not in ("none", *BUNDLED))]
+    files = [*paths, *(s for s in lists if s not in ("none", *stoplists.BUNDLED))]
     if out_path and os.path.realpath(out_path) in {os.path.realpath(p) for p in files if p}:
         raise UsageError("--out %s is also an input of this command" % out_path)
 
@@ -148,7 +148,7 @@ def _check_out(out_path, *paths, lists=()) -> None:
 def _resolve_stoplist(selection: str) -> Stoplist:
     if selection == "none":  # `index` checks for it first
         raise UsageError("'none' is only for index --stoplist; give GS, CBS, CS or a file")
-    if selection in BUNDLED:
+    if selection in stoplists.BUNDLED:
         return stoplists.bundled(selection)
     name = os.path.splitext(os.path.basename(selection))[0]
     try:
@@ -592,7 +592,10 @@ def cmd_compare(args) -> int:
         raise ParseError("compare needs at least 2 queries; the reports share %d"
                          % len(reference))
     qids = sorted(reference)
-    matrix = [[rows[q]["ap"] for _, rows in tables] for q in qids]
+    columns = [[rows[q]["ap"] for q in qids] for _, rows in tables]  # AP per technique
+    judged = [tables[0][1][q]["num_relevant"] > 0 for q in qids]  # alike in every report
+    means = [left_sum(compress(column, judged)) / sum(judged) if any(judged) else 0.0
+             for column in columns]
 
     baseline = args.baseline
     if baseline not in tags:
@@ -600,20 +603,13 @@ def cmd_compare(args) -> int:
             "baseline %r is not among the report tags %s" % (baseline, tags)
         )
 
-    def mean_precision(rows: dict[str, dict[str, float]]) -> float:
-        values = [r["ap"] for r in rows.values() if r["num_relevant"] > 0]
-        return left_sum(values) / len(values) if values else 0.0
-
-    result = friedman(matrix, labels=tags)
+    result = friedman(np.transpose(columns), labels=tags)
     order = sorted(range(len(tags)), key=lambda j: result.mean_ranks[j])
 
     print("Friedman test over %d techniques, %d queries" % (len(tags), len(qids)))
     print("%-14s %14s %11s" % ("technique", "mean precision", "mean rank"))
     for j in order:
-        print(
-            "%-14s %14.4f %11.2f"
-            % (tags[j], mean_precision(tables[j][1]), result.mean_ranks[j])
-        )
+        print("%-14s %14.4f %11.2f" % (tags[j], means[j], result.mean_ranks[j]))
     print(
         "chi2 = %.3f  df = %d  p = %.4g%s"
         % (
@@ -626,8 +622,7 @@ def cmd_compare(args) -> int:
         )
     )
 
-    base_rows = tables[tags.index(baseline)][1]
-    base_scores = [base_rows[q]["ap"] for q in qids]
+    base_scores = columns[tags.index(baseline)]
     print()
     print(
         "Wilcoxon signed-rank vs baseline %s (QP > BP means the technique "
@@ -640,13 +635,12 @@ def cmd_compare(args) -> int:
     for j in order:
         if tags[j] == baseline:
             continue
-        scores = [tables[j][1][q]["ap"] for q in qids]
-        w = wilcoxon_signed_rank(scores, base_scores)
+        w = wilcoxon_signed_rank(columns[j], base_scores)
         print(
             "%-14s %14.4f %7d %7d %7d %10.4g%s"
             % (
                 tags[j],
-                mean_precision(tables[j][1]),
+                means[j],
                 w.better,
                 w.worse,
                 w.tied,

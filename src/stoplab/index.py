@@ -41,7 +41,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from functools import cached_property
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from operator import lt
 
 import numpy as np
@@ -56,7 +56,7 @@ _CHECKSUM = struct.Struct("<I")
 _U32 = np.dtype("<u4")
 # build_index holds token offsets in int32 while the token stream has fewer
 # tokens than STREAM_LIMIT, and its sort keys in uint32 while every key,
-# below len(terms) * N, is below KEY_LIMIT; in int64 otherwise
+# below (len(terms) + 1) * N, is below KEY_LIMIT; in int64 otherwise
 STREAM_LIMIT = 1 << 31
 KEY_LIMIT = 1 << 32
 
@@ -374,13 +374,13 @@ def build_index(
     Documents are read one at a time, in input order, and split at
     whitespace into one stream of chunk ids.  The distinct chunks are
     normalized and tokenized in one batch, which by chunk locality (see
-    :mod:`stoplab.textpipe`) gives every chunk's tokens, and each token
-    maps to its position in the sorted terms, or -1 for a stopword.
-    Repeated along the chunk stream, these give one position per token;
-    one mask drops the stopwords, and one in-place sort of a key per kept
-    token, position * N + doc ordinal, puts the tokens in postings order:
-    each run of equal keys is one posting, and its length is the tf.  The
-    token offsets are int32 and the keys uint32 while they fit (see
+    :mod:`stoplab.textpipe`) gives every chunk's tokens, and each token maps
+    to its position in the sorted terms, or len(terms) for a stopword.
+    Repeated along the chunk stream, these give one position per token; one
+    in-place sort of a key per token, position * N + doc ordinal, puts them
+    in postings order, stopwords last, and one cut drops those: each run of
+    equal keys left is one posting, and its length is the tf.  The token
+    offsets are int32 and the keys uint32 while they fit (see
     ``STREAM_LIMIT`` and ``KEY_LIMIT``), and each array is freed once used,
     so the build's peak stays near 15 bytes per token.
     ``workers`` has no effect: the build is serial, since tokenization
@@ -398,12 +398,11 @@ def build_index(
     n = len(docnos)
 
     batch, ends = tokenize_chunks(list(chunk_table))
-    position = dict.fromkeys(batch, -1)  # token -> its index in terms, -1 for a stopword
-    stopwords = stoplist.words if stoplist else frozenset()
-    terms = sorted(filterfalse(stopwords.__contains__, position))
-    if len(terms) * n > 1 << 63:  # the largest key is len(terms) * n - 1
+    terms = sorted(set(batch).difference(stoplist.words if stoplist else ()))
+    if (len(terms) + 1) * n > 1 << 63:  # the largest key is (len(terms) + 1) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))
+    position = dict.fromkeys(batch, len(terms))  # token -> its index in terms, or len(terms)
     position.update(zip(terms, range(len(terms))))
     chunk_positions = np.fromiter(map(position.__getitem__, batch), np.int32, len(batch))
     del batch, chunk_table, position  # freed early, to keep the peak low
@@ -439,18 +438,15 @@ def build_index(
     np.cumsum(where, dtype=offset, out=where)
     high = chunk_positions[where]  # each token's position: its key's high part
     del where, chunk_positions
-    kept = high >= 0 if stoplist else None
-    # a kept token's key, position * N + doc ordinal; a stopword's, from
-    # position -1, is dropped
-    keys = high.view(np.uint32) if len(terms) * n <= KEY_LIMIT else high.astype(np.int64)
+    # a token's key is position * N + doc ordinal, so a stopword's sorts last
+    wide = (len(terms) + 1) * n > KEY_LIMIT
+    keys = high.astype(np.int64) if wide else high.view(np.uint32)
     del high
     keys *= n
     keys += np.repeat(np.arange(n, dtype=np.uint32), lengths)
-    if stoplist:  # one mask drops the stopwords
-        keys = keys[kept]
-    del kept
-    removed = tokens - len(keys)
     keys.sort()
+    keys = keys[: np.searchsorted(keys, len(terms) * n)].copy()  # frees the stopwords' keys
+    removed = tokens - len(keys)
     # a posting starts at the first key and wherever the key changes
     change = np.empty(len(keys), dtype=bool)
     change[:1] = True

@@ -133,9 +133,11 @@ def combined() -> Stoplist:
     return combine(general(), corpus_based(), name="CS")
 
 
+BUNDLED = {"GS": general, "CBS": corpus_based, "CS": combined}  # code -> its getter
+
+
 def bundled(code: str) -> Stoplist:
     """Look up a bundled list by its code (GS, CBS or CS)."""
-    try:
-        return {"GS": general, "CBS": corpus_based, "CS": combined}[code]()
-    except KeyError:
-        raise ValueError("unknown stoplist code %r" % (code,)) from None
+    if code not in BUNDLED:
+        raise ValueError("unknown stoplist code %r" % (code,))
+    return BUNDLED[code]()

@@ -421,6 +421,26 @@ def test_criterion_8_desk_scale_experiment(tmp_path, capsys):
     report(8, "desk-scale 12-technique experiment in %.1fs" % elapsed, failures)
 
 
+# sha256 of the four indexes criterion 8 builds, pinned like its runs
+DESK_INDEX_DIGESTS = {
+    "none": "a579e507524ddc1fe2d8dad7f1d4a02e1b7829fdd7ecdbc01347471c81476b23",
+    "GS": "a37227ad3e9eec4d33701342d2e3d6ec049a4196e547d33b073c48113420ff70",
+    "CBS": "0761c21706fe0846c29ff48aa1bffc23de17c92e84d09cf6484b0bd2915c502b",
+    "CS": "9c7fa6ae4ae008bc8580782421a1cc17824c7b12b33c729daa5d5ae26d00d684",
+}
+
+
+def test_desk_index_bytes_are_pinned(tmp_path):
+    corpus, _, _ = _write_desk_corpus(tmp_path, random.Random(1008))
+    digests = {}
+    for code in DESK_INDEX_DIGESTS:
+        out = tmp_path / ("%s.idx" % code)
+        assert main(["index", "--corpus", str(corpus), "--out", str(out),
+                     "--stoplist", code]) == 0
+        digests[code] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digests == DESK_INDEX_DIGESTS
+
+
 def test_criterion_9_idempotence_on_random_unicode():
     failures = []
     gs = general()

@@ -372,6 +372,18 @@ class TestSerialization:
                 wide = build_index(docs, stoplist=idx.stoplist)
             assert serialized(wide) == blob
 
+    def test_stopword_keys_set_the_key_width(self, monkeypatch):
+        # 65,536 terms x 65,536 documents: every term's key fits in uint32,
+        # and every stopword's, from 2**32 up, does not
+        docs = [("D%05d" % i, "w%05d zz" % i) for i in range(1 << 16)]
+        stoplist = Stoplist("zz", frozenset({"zz"}))
+        idx = build_index(docs, stoplist=stoplist)
+        assert idx.stopwords_removed == 1 << 16
+        with monkeypatch.context() as m:
+            m.setattr(stoplab.index, "KEY_LIMIT", 0)
+            wide = build_index(docs, stoplist=stoplist)
+        assert serialized(idx) == serialized(wide)
+
     def test_build_determinism(self):
         rng = random.Random(24)
         docs = [(d, " ".join(t)) for d, t in random_corpus(rng, max_docs=80)]
