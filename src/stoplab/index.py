@@ -14,22 +14,30 @@ When a stoplist is supplied it is applied while indexing, so document
 lengths and collection statistics all reflect the removal; the list itself
 is stored in the index so queries can be filtered identically later.
 
-Index file format (version ``ARIDX002``), little-endian throughout, laid
+Index file format (version ``ARIDX003``), little-endian throughout, laid
 out in columns:
 
-    magic            8 bytes  b"ARIDX002"
-    header           4 x uint64: N, vocab_size, postings, meta_len
+    magic            8 bytes  b"ARIDX003"
+    header           4 x uint64: N, vocab_size, postings, meta_len;
+                     2 x uint32: ordinal width, tf width (1, 2 or 4 bytes)
     doc_lengths      N x uint32
     df               vocab_size x uint32, one per term in sorted order
-    postings         postings x (uint32 doc ordinal, uint32 tf), term after
-                     term, ordinals ascending within a term
+    ordinals         postings x doc ordinal, term after term, ordinals
+                     ascending within a term
+    padding          zero bytes up to a multiple of the tf width
+    tfs              postings x tf, row for row with the ordinals
     meta             meta_len bytes of UTF-8 JSON: docnos, terms (sorted),
                      total_tokens, stoplist, strip_marks, stopwords_removed
     checksum         uint32 CRC-32 of every byte before it
 
-Writing is fully deterministic, so equal indexes serialize byte-identically.
-Files in the retired ``ARIDX001`` format are refused: rebuild them.  So are
-files whose ``strip_marks`` is not ``true``, as ``index --keep-marks`` wrote.
+Each postings column is stored in the narrowest of 1, 2 or 4 bytes that
+holds its largest value, N - 1 for the ordinals and the largest tf for the
+tfs.  Magic and header take 48 bytes, and the padding aligns the tfs, so
+every column starts at a multiple of its item size and loads as an aligned
+view of the file's bytes.  Writing is fully deterministic, so equal indexes
+serialize byte-identically.  Files in the retired ``ARIDX001`` and
+``ARIDX002`` formats are refused: rebuild them.  So are files whose
+``strip_marks`` is not ``true``, as ``index --keep-marks`` wrote.
 """
 
 import json
@@ -37,6 +45,7 @@ import re
 import struct
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
@@ -50,10 +59,12 @@ from .errors import ParseError, atomic_write, read_bytes, source_name
 from .stoplists import Stoplist
 from .textpipe import tokenize_chunks
 
-MAGIC = b"ARIDX002"
-_HEADER = struct.Struct("<8s4Q")
+MAGIC = b"ARIDX003"
+_RETIRED = (b"ARIDX001", b"ARIDX002")
+_HEADER = struct.Struct("<8s4Q2I")
 _CHECKSUM = struct.Struct("<I")
 _U32 = np.dtype("<u4")
+_WIDTHS = {1: np.dtype("<u1"), 2: np.dtype("<u2"), 4: np.dtype("<u4")}
 # build_index holds token offsets in int32 while the token stream has fewer
 # tokens than STREAM_LIMIT, and its sort keys in uint32 while every key,
 # below (len(terms) + 1) * N, is below KEY_LIMIT; in int64 otherwise
@@ -112,6 +123,12 @@ def parse_trec_documents(text: str, name: str = "corpus") -> Iterator[tuple[str,
         pos = end + 6
 
 
+def _narrowest(largest: int) -> np.dtype:
+    """The narrowest postings column type, 1, 2 or 4 bytes, that holds
+    ``largest``."""
+    return next(d for d in _WIDTHS.values() if largest < 1 << 8 * d.itemsize)
+
+
 class Index:
     """Immutable inverted index over a document collection.
 
@@ -123,11 +140,13 @@ class Index:
             stoplist).
         terms: the vocabulary in sorted order.
         doc_freqs: uint32 document frequency per term of ``terms``.
-        pairs: uint32 array of ``(ordinal, tf)`` rows, one per posting,
-            grouped by term in ``terms`` order, ordinals ascending.
+        ordinals, tfs: the postings as two unsigned integer columns, one
+            row per posting, grouped by term in ``terms`` order, ordinals
+            ascending within a term; each as narrow as its file column.
         bounds: int64 row bounds, ``doc_freqs`` summed once: term i's rows
-            are ``pairs[bounds[i]:bounds[i + 1]]``.
-        postings: term -> its rows of ``pairs``, derived on first use.
+            are ``bounds[i]:bounds[i + 1]``, which :meth:`rows` finds.
+        postings: term -> its uint32 ``(ordinal, tf)`` rows, derived on
+            first use.
         ctf: term -> collection frequency, derived on first use (only
             ``stoplist build`` reads it).
         total_tokens: sum of all document lengths.
@@ -143,20 +162,23 @@ class Index:
         doc_lengths: np.ndarray,
         terms: list[str],
         doc_freqs: np.ndarray,
-        pairs: np.ndarray,
+        ordinals: np.ndarray,
+        tfs: np.ndarray,
         total_tokens: int,
         stoplist: Stoplist | None = None,
         stopwords_removed: int = 0,
     ):
         bounds = np.concatenate(([0], np.cumsum(doc_freqs, dtype=np.int64)))
-        if len(doc_freqs) != len(terms) or bounds[-1] != len(pairs):
+        if (len(doc_freqs) != len(terms) or bounds[-1] != len(ordinals)
+                or len(tfs) != len(ordinals)):
             raise ValueError("postings table size mismatch")
         self.bounds = bounds
         self.docnos = docnos
         self.doc_lengths = doc_lengths
         self.terms = terms
         self.doc_freqs = doc_freqs
-        self.pairs = pairs
+        self.ordinals = ordinals
+        self.tfs = tfs
         self.total_tokens = total_tokens
         self.stoplist = stoplist
         self.stopwords_removed = stopwords_removed
@@ -173,18 +195,29 @@ class Index:
     def vocabulary_size(self) -> int:
         return len(self.terms)
 
+    def rows(self, term: str) -> slice | None:
+        """The slice of ``ordinals`` and ``tfs`` that holds ``term``'s
+        postings, found by bisection on ``terms``; None for a term the
+        index lacks."""
+        i = bisect_left(self.terms, term)
+        if i == len(self.terms) or self.terms[i] != term:
+            return None
+        return slice(*self.bounds[i : i + 2].tolist())
+
     @cached_property
     def postings(self) -> dict[str, np.ndarray]:
-        """term -> its rows of ``pairs``."""
+        """term -> its ``(ordinal, tf)`` rows.  Nothing in stoplab reads
+        it; it stays for ``bench/replay.py``, which counts postings by it."""
+        rows = np.column_stack((self.ordinals, self.tfs)).astype(np.uint32)
         b = self.bounds.tolist()
-        return {term: self.pairs[a:z] for term, a, z in zip(self.terms, b, b[1:])}
+        return {term: rows[a:z] for term, a, z in zip(self.terms, b, b[1:])}
 
     @cached_property
     def ctf(self) -> dict[str, int]:
         """term -> collection frequency, the sum of the term's tfs."""
         if not self.terms:
             return {}
-        sums = np.add.reduceat(self.pairs[:, 1], self.bounds[:-1], dtype=np.uint64)
+        sums = np.add.reduceat(self.tfs, self.bounds[:-1], dtype=np.uint64)
         return dict(zip(self.terms, sums.tolist()))
 
     @cached_property
@@ -207,13 +240,14 @@ class Index:
         return rank
 
     def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
+        rows = self.rows(term)
+        return 0 if rows is None else rows.stop - rows.start
 
     def check(self) -> None:
         """Verify the structural invariants; raises ValueError on breakage
         (:class:`BadDocno` and :class:`DuplicateDocno` are ValueErrors)."""
         n, terms, docnos = self.N, self.terms, self.docnos
-        ordinals, tfs = self.pairs[:, 0], self.pairs[:, 1]
+        ordinals, tfs = self.ordinals, self.tfs
         if len(self.doc_lengths) != n:
             raise ValueError("doc table size mismatch")
         # a run file splits its lines at whitespace, so a docno must be one
@@ -275,9 +309,13 @@ class Index:
         blob = json.dumps(
             meta, ensure_ascii=False, sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
-        header = _HEADER.pack(MAGIC, self.N, len(self.terms), len(self.pairs), len(blob))
-        columns = (np.asarray(column, dtype=_U32)
-                   for column in (self.doc_lengths, self.doc_freqs, self.pairs))
+        ordinal, tf = _narrowest(self.N - 1), _narrowest(int(self.tfs.max(initial=0)))
+        header = _HEADER.pack(MAGIC, self.N, len(self.terms), len(self.ordinals),
+                              len(blob), ordinal.itemsize, tf.itemsize)
+        padding = np.zeros(-len(self.ordinals) * ordinal.itemsize % tf.itemsize, np.uint8)
+        columns = (np.ascontiguousarray(column, dtype=dtype) for column, dtype in (
+            (self.doc_lengths, _U32), (self.doc_freqs, _U32), (self.ordinals, ordinal),
+            (padding, np.uint8), (self.tfs, tf)))
         to_path = not hasattr(dest, "write")
         with atomic_write(dest, binary=True) if to_path else nullcontext(dest) as f:
             crc = 0
@@ -303,15 +341,20 @@ class Index:
 
     @classmethod
     def _decode(cls, data: bytes, name: str) -> "Index":
-        if data[: len(MAGIC)] == b"ARIDX001":
-            raise ParseError("%s: index file has the retired ARIDX001 format; "
-                             "rebuild the index with `stoplab index`" % name)
-        if data[: len(MAGIC)] != MAGIC:
+        magic = data[: len(MAGIC)]
+        if magic in _RETIRED:
+            raise ParseError("%s: index file has the retired %s format; rebuild the "
+                             "index with `stoplab index`" % (name, magic.decode()))
+        if magic != MAGIC:
             raise ParseError("%s: not an index file (bad magic)" % name)
         if len(data) < _HEADER.size + _CHECKSUM.size:
             raise ParseError("%s: truncated index file" % name)
-        _, n, vocab, npairs, meta_len = _HEADER.unpack_from(data)
-        sizes = [4 * n, 4 * vocab, 8 * npairs, meta_len]
+        _, n, vocab, postings, meta_len, ordinal, tf = _HEADER.unpack_from(data)
+        for width in (ordinal, tf):
+            if width not in _WIDTHS:
+                raise ValueError("postings column width %d is not 1, 2 or 4" % width)
+        padding = -postings * ordinal % tf
+        sizes = [4 * n, 4 * vocab, ordinal * postings, padding, tf * postings, meta_len]
         offsets = list(accumulate(sizes, initial=_HEADER.size))
         end = offsets[-1]
         if len(data) < end + _CHECKSUM.size:
@@ -320,9 +363,9 @@ class Index:
             raise ParseError("%s: corrupt index file: trailing bytes" % name)
         if zlib.crc32(memoryview(data)[:end]) != _CHECKSUM.unpack_from(data, end)[0]:
             raise ParseError("%s: corrupt index file: checksum mismatch" % name)
-        sections = [memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:])]
-        doc_lengths, doc_freqs, pairs = (np.frombuffer(s, dtype=_U32) for s in sections[:3])
-        meta = json.loads(bytes(sections[3]).decode("utf-8"))
+        doc_lengths, doc_freqs, ordinals, _, tfs, blob = (
+            memoryview(data)[a:b] for a, b in zip(offsets, offsets[1:]))
+        meta = json.loads(bytes(blob).decode("utf-8"))
         if meta["strip_marks"] is not True:
             raise ParseError("%s: index built with --keep-marks, which stoplab no "
                              "longer reads; rebuild it with stoplab index" % name)
@@ -331,10 +374,11 @@ class Index:
         s = meta["stoplist"]
         return cls(
             docnos=meta["docnos"],
-            doc_lengths=doc_lengths,
+            doc_lengths=np.frombuffer(doc_lengths, dtype=_U32),
             terms=meta["terms"],
-            doc_freqs=doc_freqs,
-            pairs=pairs.reshape(-1, 2),
+            doc_freqs=np.frombuffer(doc_freqs, dtype=_U32),
+            ordinals=np.frombuffer(ordinals, dtype=_WIDTHS[ordinal]),
+            tfs=np.frombuffer(tfs, dtype=_WIDTHS[tf]),
             total_tokens=int(meta["total_tokens"]),
             stoplist=s and Stoplist(s["name"], frozenset(s["words"]), s["provenance"]),
             stopwords_removed=int(meta["stopwords_removed"]),
@@ -462,19 +506,21 @@ def build_index(
     # term i's keys run from i * N up to (i + 1) * N
     heads = np.searchsorted(keys, np.arange(len(terms), dtype=keys.dtype) * n)
     doc_freqs = np.diff(heads, append=len(keys)).astype(np.uint32)
-    keys %= n
-    pairs = np.empty((len(keys), 2), dtype=np.uint32)  # (ordinal, tf) rows
-    pairs[:, 0], pairs[:, 1] = keys, tfs
-    del keys, tfs
-    # a document's length is the sum of its tfs
+    ordinals = np.empty(len(keys), dtype=_narrowest(n - 1))  # as narrow as the file's
+    np.remainder(keys, n, out=ordinals, casting="unsafe")
+    del keys
+    # a document's length is the sum of its tfs, added while they are uint32
+    # as the lengths are: np.add.at casts narrower values on a slow path
     doc_lengths = np.zeros(n, dtype=np.uint32)
-    np.add.at(doc_lengths, pairs[:, 0], pairs[:, 1])
+    np.add.at(doc_lengths, ordinals, tfs)
+    tfs = tfs.astype(_narrowest(int(tfs.max(initial=0))))
     index = Index(
         docnos=docnos,
         doc_lengths=doc_lengths,
         terms=terms,
         doc_freqs=doc_freqs,
-        pairs=pairs,
+        ordinals=ordinals,
+        tfs=tfs,
         total_tokens=int(doc_lengths.sum()),
         stoplist=stoplist,
         stopwords_removed=removed,

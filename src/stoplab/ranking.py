@@ -199,7 +199,8 @@ def _doc_parts(index: Index, key: tuple, per_document) -> dict:
 def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
           query_weight, top_k: int, tag: str, prior: bool = False) -> RankedRun:
     """The scoring core.  Each query term the index holds, in sorted order
-    (so scores are bit-stable), weighs its postings ``doc_weight(tf,
+    (so scores are bit-stable), reads its rows of the ``ordinals`` and
+    ``tfs`` columns and weighs its postings ``doc_weight(tf,
     factor[ordinals])`` times ``query_weight(qtf, df)``, ``factor`` the
     memo's per-document array, and the memo keeps each document part.
     Given a ``prior``, a first term that every document holds weighs |q|,
@@ -214,15 +215,16 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
     with np.errstate(all="ignore"):  # a non-finite score is refused below
         parts = _doc_parts(index, key, per_document)
         for term, qtf in sorted(query.terms.items()):
-            plist = index.postings.get(term)
-            if plist is None:
+            rows = index.rows(term)
+            if rows is None:
                 continue
+            docs = index.ordinals[rows]
             part = parts.get(term)
             if part is None:
-                part = parts[term] = doc_weight(plist[:, 1], parts[None][plist[:, 0]])
+                part = parts[term] = doc_weight(index.tfs[rows], parts[None][docs])
                 part.flags.writeable = False
-            ordinals.append(plist[:, 0])
-            weights.append(part * query_weight(qtf, len(plist)))
+            ordinals.append(docs)
+            weights.append(part * query_weight(qtf, len(docs)))
             qlen += qtf
         if not ordinals:
             return RankedRun(query.qid, [], np.zeros(0), tag)
@@ -311,7 +313,7 @@ def score_kl_dirichlet(
     """
     mu = params.mu
     for term in query.terms:
-        if term not in index.postings:  # every indexed term has ctf > 0
+        if index.rows(term) is None:  # every indexed term has ctf > 0
             logger.warning(
                 "query %s: term %r absent from collection, dropped", query.qid, term
             )

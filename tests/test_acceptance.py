@@ -16,6 +16,7 @@ Tolerances are fixed here and nowhere else:
 
 import hashlib
 import io
+import json
 import math
 import random
 import time
@@ -421,23 +422,50 @@ def test_criterion_8_desk_scale_experiment(tmp_path, capsys):
     report(8, "desk-scale 12-technique experiment in %.1fs" % elapsed, failures)
 
 
-# sha256 of the four indexes criterion 8 builds, pinned like its runs
+# sha256 of the four index files criterion 8 builds, pinned like its runs
 DESK_INDEX_DIGESTS = {
-    "none": "a579e507524ddc1fe2d8dad7f1d4a02e1b7829fdd7ecdbc01347471c81476b23",
-    "GS": "a37227ad3e9eec4d33701342d2e3d6ec049a4196e547d33b073c48113420ff70",
-    "CBS": "0761c21706fe0846c29ff48aa1bffc23de17c92e84d09cf6484b0bd2915c502b",
-    "CS": "9c7fa6ae4ae008bc8580782421a1cc17824c7b12b33c729daa5d5ae26d00d684",
+    "none": "c8e76c4b8bf887496140f8224ba1f6330e7a93d976fc80376982ba65060cfad4",
+    "GS": "a01249a02349456a2af912cc3aae6531edd1b9fcb8ffb163efaeb08e113d4465",
+    "CBS": "5869adc1b97be011f9769aaac392980352940a3bb4db78fb35859d8c9668ece7",
+    "CS": "3563179d29c78839d64a3272e48366b0b0fb3e10384692010e19d06ff2be241b",
 }
+
+# sha256 of what those four indexes hold, as content_digest reads it: the
+# same under every file format, so a format change cannot move it
+DESK_INDEX_CONTENT_DIGESTS = {
+    "none": "07edaf7b6a58ceb72edc0250b0669e8f2865198e573afdacc25b6eb6af6e3f8e",
+    "GS": "6738b8f67cc0d77ced8bc33b42a76904f471bbec7d9562259547eb9c4f03355e",
+    "CBS": "15cb815ac11948f3353e8e7d2a353e536ed75f8685d39a3d63758bc46958e342",
+    "CS": "b773e2cefd13399fd0077a5eb04977ec96e8b39bb40b7b3ea0be14504ab8c4c5",
+}
+
+
+def content_digest(index: Index) -> str:
+    """sha256 of an index's decoded content: the UTF-8 JSON of its docnos,
+    terms, total_tokens, stopwords_removed and stoplist (name, provenance,
+    sorted words), then doc_lengths, doc_freqs and the (ordinal, tf) rows
+    as little-endian uint32."""
+    h = hashlib.sha256()
+    s = index.stoplist
+    meta = [index.docnos, index.terms, index.total_tokens, index.stopwords_removed,
+            None if s is None else [s.name, s.provenance, sorted(s.words)]]
+    h.update(json.dumps(meta, ensure_ascii=False).encode("utf-8"))
+    rows = np.column_stack((index.ordinals, index.tfs))
+    for column in (index.doc_lengths, index.doc_freqs, rows):
+        h.update(np.ascontiguousarray(column, dtype="<u4").tobytes())
+    return h.hexdigest()
 
 
 def test_desk_index_bytes_are_pinned(tmp_path):
     corpus, _, _ = _write_desk_corpus(tmp_path, random.Random(1008))
-    digests = {}
+    digests, contents = {}, {}
     for code in DESK_INDEX_DIGESTS:
         out = tmp_path / ("%s.idx" % code)
         assert main(["index", "--corpus", str(corpus), "--out", str(out),
                      "--stoplist", code]) == 0
         digests[code] = hashlib.sha256(out.read_bytes()).hexdigest()
+        contents[code] = content_digest(Index.load(out))
+    assert contents == DESK_INDEX_CONTENT_DIGESTS
     assert digests == DESK_INDEX_DIGESTS
 
 

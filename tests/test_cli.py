@@ -214,9 +214,10 @@ class TestOneTextPipeline:
         corpus, idx = tmp_path / "marked.sgml", tmp_path / "marked.idx"
         corpus.write_text(MARKED_SGML, encoding="utf-8")
         assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
-        # the same bytes as before --keep-marks was removed, built without it
+        # the same content as before --keep-marks was removed, built without
+        # it, in the ARIDX003 format
         assert hashlib.sha256(idx.read_bytes()).hexdigest() == (
-            "142e6561c980738d00a9fe61fe8d39f6307abd237a103e65e0476049039192fe")
+            "ce61ce91c5a42cabed497d2173a208f1f493a294488afcb330c7afb3a1ca8e24")
         index = Index.load(idx)
         assert index.terms == ["الدرس", "الطالب", "الكتاب", "في", "كتب"]
         assert index.doc_lengths.tolist() == [4, 3, 2]
@@ -1508,14 +1509,19 @@ class TestIndexFiles:
         assert not (tmp / "t.idx").exists()
 
     def test_old_format_asks_for_rebuild(self, toy, capsys):
-        tmp, _, topics = toy
+        tmp, corpus, topics = toy
         old = tmp / "old.idx"
-        old.write_bytes(b"ARIDX001" + bytes(40))
-        assert main(["search", "--index", str(old), "--topics", str(topics)]) == 2
-        err = capsys.readouterr().err.strip()
-        assert "rebuild" in err and len(err.splitlines()) == 1
-        assert main(["stoplist", "build", "--index", str(old), "--cutoff", "1",
-                     "--out", str(tmp / "x.txt")]) == 2
+        assert main(["index", "--corpus", str(corpus), "--out", str(old)]) == 0
+        current = old.read_bytes()
+        for magic in (b"ARIDX001", b"ARIDX002"):
+            old.write_bytes(magic + current[len(magic):])
+            capsys.readouterr()
+            assert main(["search", "--index", str(old), "--topics", str(topics)]) == 2
+            assert capsys.readouterr().err == (
+                "error: %s: index file has the retired %s format; rebuild the index "
+                "with `stoplab index`\n" % (old, magic.decode()))
+            assert main(["stoplist", "build", "--index", str(old), "--cutoff", "1",
+                         "--out", str(tmp / "x.txt")]) == 2
 
     def test_damaged_index_exits_2(self, toy, capsys):
         tmp, corpus, topics = toy

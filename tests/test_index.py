@@ -1,6 +1,7 @@
 import errno
 import gzip
 import io
+import math
 import random
 import re
 import struct
@@ -16,6 +17,7 @@ from stoplab.cli import main
 from stoplab.errors import ParseError
 import stoplab.index
 from stoplab.index import Index, build_index, parse_trec_documents
+from stoplab.ranking import Query, score_bm25, score_kl_dirichlet, score_tfidf
 from stoplab.stoplists import Stoplist
 from stoplab.textpipe import normalize, tokenize
 
@@ -35,11 +37,35 @@ def serialized(index: Index) -> bytes:
     return buf.getvalue()
 
 
+def assert_stored_in(idx: Index, docs, widths: tuple, query: dict):
+    """``idx``, built from ``docs`` with its own stoplist, saves with
+    ``widths`` in its header, loads (which runs check()) as views aligned to
+    their item size and saves again to the same bytes, and the loaded index
+    ranks ``query`` under each model as the brute-force oracle does."""
+    blob = serialized(idx)
+    assert stoplab.index._HEADER.unpack_from(blob)[-2:] == widths  # (ordinal, tf)
+    loaded = Index.load(io.BytesIO(blob))
+    assert (loaded.ordinals.itemsize, loaded.tfs.itemsize) == widths
+    assert loaded.ordinals.flags.aligned and loaded.tfs.flags.aligned
+    assert serialized(loaded) == blob
+    stopwords = idx.stoplist.words if idx.stoplist else frozenset()
+    token_docs = [(docno, [t for t in tokenize(normalize(text)) if t not in stopwords])
+                  for docno, text in docs]
+    for scorer, oracle in ((score_bm25, oracles.bm25_scores),
+                           (score_tfidf, oracles.tfidf_scores),
+                           (score_kl_dirichlet, oracles.kl_rank_equiv_scores)):
+        run = scorer(loaded, Query("1", query), top_k=10)
+        expected = oracle(token_docs, query)
+        assert run.docnos == oracles.ranking_of(expected)[:10]
+        for docno, score in zip(run.docnos, run.scores.tolist()):
+            assert math.isclose(score, expected[docno], rel_tol=1e-9, abs_tol=1e-9)
+
+
 def fields(index: Index) -> tuple:
     """Every field an index is built from; the rest derive from them."""
     return (index.docnos, index.terms, index.doc_lengths.tolist(),
-            index.doc_freqs.tolist(), index.pairs.tolist(), index.total_tokens,
-            index.stoplist, index.stopwords_removed)
+            index.doc_freqs.tolist(), index.ordinals.tolist(), index.tfs.tolist(),
+            index.total_tokens, index.stoplist, index.stopwords_removed)
 
 
 # Arabic letters with the alef, alef-maqsura and teh-marbuta variants that
@@ -383,6 +409,22 @@ class TestSerialization:
             m.setattr(stoplab.index, "KEY_LIMIT", 0)
             wide = build_index(docs, stoplist=stoplist)
         assert serialized(idx) == serialized(wide)
+        # the largest ordinal, 65,535, fits in 2 bytes; one document more,
+        # and it takes 4; the query reads the first and the last document
+        query = {"w00000": 1, "w65535": 2}
+        assert_stored_in(idx, docs, (2, 1), query)
+        docs.append(("D65536", "w65535 w65536 zz"))
+        assert_stored_in(build_index(docs, stoplist=stoplist), docs, (4, 1), query)
+
+    @pytest.mark.parametrize("n, tf, widths", [
+        (256, 255, (1, 1)), (257, 256, (2, 2)), (256, 65_535, (1, 2)), (257, 65_536, (2, 4)),
+    ])
+    def test_postings_columns_take_the_narrowest_width(self, n, tf, widths):
+        # the last document holds "a" tf times; every other one "a b" or "b";
+        # at 256 documents the 427 one-byte ordinals need a byte of padding
+        docs = [("D%03d" % i, "a b" if i % 3 else "b") for i in range(n - 1)]
+        docs.append(("D%03d" % (n - 1), "a " * tf + "c"))
+        assert_stored_in(build_index(docs), docs, widths, {"a": 1, "c": 1})
 
     def test_build_determinism(self):
         rng = random.Random(24)
@@ -475,9 +517,23 @@ class TestSerialization:
         assert as_lists(loaded.postings) == {token: [[0, 1]], "b": [[0, 1], [1, 1]]}
 
     def test_old_format_asks_for_rebuild(self):
-        with pytest.raises(ParseError, match="ARIDX001.*rebuild") as info:
-            Index.load(io.BytesIO(b"ARIDX001" + bytes(40)))
-        assert "\n" not in str(info.value)
+        for magic in ("ARIDX001", "ARIDX002"):
+            with pytest.raises(ParseError) as info:
+                Index.load(io.BytesIO(magic.encode() + bytes(40)))
+            assert str(info.value) == ("index: index file has the retired %s format; "
+                                       "rebuild the index with `stoplab index`" % magic)
+
+    @pytest.mark.parametrize("column", [0, 1], ids=["ordinal", "tf"])
+    @pytest.mark.parametrize("width", [0, 3, 8, 1 << 31])
+    def test_column_width_other_than_1_2_4_refused(self, column, width):
+        blob = bytearray(serialized(build_index(TOY_DOCS)))
+        at = stoplab.index._HEADER.size - 8 + 4 * column
+        struct.pack_into("<I", blob, at, width)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        with pytest.raises(ParseError) as info:
+            Index.load(io.BytesIO(bytes(blob)))
+        assert str(info.value) == ("index: corrupt index file: postings column "
+                                   "width %d is not 1, 2 or 4" % width)
 
 
 def _damage_cases(blob: bytes, rng: random.Random, flips_per_byte: int):
@@ -534,7 +590,14 @@ def _toy_columns() -> dict:
     idx = build_index(TOY_DOCS)
     return dict(docnos=list(idx.docnos), doc_lengths=idx.doc_lengths.copy(),
                 terms=list(idx.terms), doc_freqs=idx.doc_freqs.copy(),
-                pairs=idx.pairs.copy(), total_tokens=idx.total_tokens)
+                ordinals=idx.ordinals.copy(), tfs=idx.tfs.copy(),
+                total_tokens=idx.total_tokens)
+
+
+def _postings(pairs) -> dict:
+    """``(ordinal, tf)`` rows as the two uint32 columns an Index holds."""
+    pairs = np.asarray(pairs, dtype=np.uint32)
+    return dict(ordinals=pairs[:, 0], tfs=pairs[:, 1])
 
 
 class TestCheck:
@@ -559,10 +622,11 @@ class TestCheck:
         ([4, 2], [(3, 2), (0, 1)], "doc ordinal >= N for term 'c'"),
     ])
     def test_broken_posting_named(self, row, value, message):
-        pairs = _toy_columns()["pairs"]
+        toy = _toy_columns()
+        pairs = np.column_stack((toy["ordinals"], toy["tfs"]))
         pairs[row] = value
         total = int(pairs[:, 1].sum())
-        index = self.broken(pairs=pairs, total_tokens=total,
+        index = self.broken(**_postings(pairs), total_tokens=total,
                             doc_lengths=np.array([2, 2, total - 4], dtype=np.uint32))
         with pytest.raises(ValueError, match=message):
             index.check()
@@ -577,16 +641,16 @@ class TestCheck:
 
     def test_df_above_n(self):
         columns = _toy_columns()
-        pairs = np.array([[0, 1], [0, 1], [1, 1], [2, 1], [1, 1], [2, 1]],
-                         dtype=np.uint32)
+        pairs = [[0, 1], [0, 1], [1, 1], [2, 1], [1, 1], [2, 1]]
         with pytest.raises(ValueError, match="not sorted for term 'b'"):
-            self.broken(pairs=pairs, doc_freqs=np.array([1, 4, 1], dtype=np.uint32),
+            self.broken(**_postings(pairs), doc_freqs=np.array([1, 4, 1], dtype=np.uint32),
                         doc_lengths=columns["doc_lengths"]).check()
 
     def test_valid_checksum_does_not_hide_broken_invariants(self):
         blob = bytearray(serialized(build_index(TOY_DOCS)))
-        postings_at = 8 + 4 * 8 + 4 * 3 + 4 * 3  # magic, header, dl and df columns
-        struct.pack_into("<I", blob, postings_at + 4, 5)  # first tf: 1 -> 5
+        # magic and header, the dl and df columns, then 5 one-byte ordinals
+        tfs_at = stoplab.index._HEADER.size + 4 * 3 + 4 * 3 + 5
+        blob[tfs_at] = 5  # first tf: 1 -> 5
         struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
         with pytest.raises(ParseError, match="corrupt index file: sum"):
             Index.load(io.BytesIO(bytes(blob)))

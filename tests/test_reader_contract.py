@@ -64,19 +64,26 @@ metas = st.fixed_dictionaries(
 ) | json_values
 
 
-def framed(meta: bytes, n: int = 0, vocab: int = 0, npairs: int = 0, body: bytes = b""):
-    """An index file whose header sizes and checksum are right, so that the
-    sections and the JSON block behind them are what gets checked."""
-    data = _HEADER.pack(MAGIC, n, vocab, npairs, len(meta)) + body + meta
+def framed(meta: bytes, n: int = 0, vocab: int = 0, postings: int = 0, body: bytes = b"",
+           widths: tuple = (4, 4)):
+    """An index file whose header sizes, postings column widths and checksum
+    are right, so that the sections and the JSON block behind them are what
+    gets checked."""
+    data = _HEADER.pack(MAGIC, n, vocab, postings, len(meta), *widths) + body + meta
     return data + _CHECKSUM.pack(zlib.crc32(data))
 
 
 @st.composite
 def framed_indexes(draw):
-    n, vocab, npairs = (draw(st.integers(0, 3)) for _ in range(3))
-    size = 4 * (n + vocab + 2 * npairs)
+    """Every section of the layout: the dl and df columns, the ordinal
+    column, the padding that aligns the tf column, the tf column, and meta."""
+    n, vocab, postings = (draw(st.integers(0, 3)) for _ in range(3))
+    ordinal, tf = (draw(st.sampled_from([1, 2, 4])) for _ in range(2))
+    padding = -postings * ordinal % tf
+    size = 4 * (n + vocab) + ordinal * postings + padding + tf * postings
     body = draw(st.binary(min_size=size, max_size=size))
-    return framed(json.dumps(draw(metas)).encode("utf-8"), n, vocab, npairs, body)
+    return framed(json.dumps(draw(metas)).encode("utf-8"), n, vocab, postings, body,
+                  (ordinal, tf))
 
 
 def check_contract(reader, path, data):
