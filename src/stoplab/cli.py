@@ -535,12 +535,6 @@ def cmd_search(args) -> int:
         for qid, text in topics:
             query = Query.from_text(qid, text, stoplist=index.stoplist)
             run = scorer(index, query, params, top_k=args.top_k, tag=tag)
-            if not run.docnos:
-                print(
-                    "warning: query %s produced no results "
-                    "(all terms filtered or unindexed)" % qid,
-                    file=sys.stderr,
-                )
             write_run(run, out)
     return 0
 
@@ -655,20 +649,8 @@ def cmd_stoplist_build(args) -> int:
     _check_out(args.out, args.index, args.exclude)
     with atomic_write(args.out) as out:
         index = Index.load(args.index)
-        exclusions: set[str] = set()
-        if args.exclude:
-            exclusions = set(
-                load_stoplist(args.exclude, name="exclusions", provenance="custom").words
-            )
-        stoplist = build_corpus_stoplist(
-            index.ctf, args.cutoff, exclusions, name=args.name
-        )
-        if not stoplist.words:
-            print(
-                "warning: cutoff %d exceeds every collection frequency; "
-                "the list is empty" % args.cutoff,
-                file=sys.stderr,
-            )
+        exclusions = load_stoplist(args.exclude, "exclusions").words if args.exclude else ()
+        stoplist = build_corpus_stoplist(index.ctf, args.cutoff, exclusions, name=args.name)
         write_stoplist(stoplist, out)
     print("stoplist %s: %d words -> %s" % (stoplist.name, len(stoplist), args.out))
     return 0

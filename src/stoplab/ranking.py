@@ -30,8 +30,8 @@ form:
     with p(t|C) = ctf / total_tokens and |q| = sum of qtf
 
     Every document is a candidate (the length term discriminates even at
-    tf = 0).  Query terms absent from the collection are dropped with a
-    warning, since p(t|C) = 0 has no likelihood reading.
+    tf = 0).  As in every model, a query term absent from the collection
+    is dropped with a warning; here p(t|C) = 0 has no likelihood reading.
 
 Each model's weight for a query term splits into a document part, a
 float64 array over the term's postings that depends on their tf, a factor
@@ -206,7 +206,8 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
     Given a ``prior``, a first term that every document holds weighs |q|,
     the qtf of those terms, times ``factor``.  One bincount adds all the
     weights in that order, from 0.0.  The candidates: with a prior, every
-    document, else those holding a query term.  No term, an empty run.  A
+    document, else those holding a query term.  Each term the index lacks,
+    and a query left with none (an empty run), logs a warning.  A
     non-finite score raises ValueError.
     """
     if top_k < 1:
@@ -217,6 +218,8 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
         for term, qtf in sorted(query.terms.items()):
             rows = index.rows(term)
             if rows is None:
+                logger.warning("query %s: term %r absent from collection, dropped",
+                               query.qid, term)
                 continue
             docs = index.ordinals[rows]
             part = parts.get(term)
@@ -227,6 +230,8 @@ def _rank(index: Index, query: Query, key: tuple, per_document, doc_weight,
             weights.append(part * query_weight(qtf, len(docs)))
             qlen += qtf
         if not ordinals:
+            logger.warning("query %s produced no results "
+                           "(all terms filtered or unindexed)", query.qid)
             return RankedRun(query.qid, [], np.zeros(0), tag)
         if prior:
             ordinals.insert(0, np.arange(index.N))
@@ -312,11 +317,6 @@ def score_kl_dirichlet(
     of ln prod p(t|d)^qtf with p(t|d) = (tf + mu*p(t|C)) / (dl + mu).
     """
     mu = params.mu
-    for term in query.terms:
-        if index.rows(term) is None:  # every indexed term has ctf > 0
-            logger.warning(
-                "query %s: term %r absent from collection, dropped", query.qid, term
-            )
 
     def doc_weight(tf, prior):
         p_coll = int(tf.sum(dtype=np.uint64)) / index.total_tokens  # ctf / |C|

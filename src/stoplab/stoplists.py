@@ -16,6 +16,7 @@ File format: UTF-8, one word per line, no ordering requirement; blank lines
 and ``#`` comment lines, :func:`write_stoplist`'s header among them, skipped.
 """
 
+import logging
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,8 @@ from importlib import resources
 
 from .errors import ParseError, iter_lines, source_name
 from .textpipe import normalize, tokenize
+
+logger = logging.getLogger(__name__)
 
 PROVENANCES = ("general", "corpus-based", "combined", "custom")
 
@@ -87,7 +90,7 @@ def build_corpus_stoplist(
     name: str = "CBS",
 ) -> Stoplist:
     """Terms with collection frequency strictly above ``cutoff``, minus
-    ``exclusions``.
+    ``exclusions``; an empty list logs a warning that names its cause.
 
     The exclusion set models the manual removal of content-bearing words
     that merely happen to be frequent; it is an explicit input because no
@@ -97,6 +100,12 @@ def build_corpus_stoplist(
         raise ValueError("cutoff must be non-negative")
     excluded = {normalize(w) for w in exclusions}
     words = {normalize(t) for t, c in freqs.items() if c > cutoff}
+    if not words:
+        logger.warning("no term has a collection frequency above cutoff %d; "
+                       "the list is empty", cutoff)
+    elif words <= excluded:
+        logger.warning("the exclusions remove every term above cutoff %d, %d in all; "
+                       "the list is empty", cutoff, len(words))
     return Stoplist(
         name=name, words=frozenset(words - excluded), provenance="corpus-based"
     )

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import random
@@ -130,7 +131,7 @@ class TestIndexCommand:
                    "--encoding", "cp1256"])
         assert rc == 0
         idx = Index.load(tmp / "t.idx")
-        assert "قال" in idx.postings
+        assert idx.rows("قال") is not None
 
     def test_keep_marks_flag_is_unrecognized(self, toy, capsys):
         tmp, corpus, _ = toy
@@ -278,7 +279,7 @@ class TestSearchCommand:
         out = capsys.readouterr().out
         assert all(line.endswith(" KL_GS") for line in out.strip().splitlines())
 
-    def test_all_stopword_topic_warns_and_emits_nothing(self, toy, capsys):
+    def test_all_stopword_topic_warns_and_emits_nothing(self, toy, capsys, caplog):
         tmp, corpus, _ = toy
         listfile = tmp / "all.txt"
         listfile.write_text("a\n", encoding="utf-8")
@@ -293,7 +294,7 @@ class TestSearchCommand:
         assert rc == 0
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "no results" in captured.err
+        assert "no results" in caplog.text
 
     @pytest.mark.parametrize("model, flag, value", [
         ("BM25", "--k1", "-1"), ("BM25", "--k1", "nan"), ("BM25", "--k3", "inf"),
@@ -359,9 +360,9 @@ class TestSearchCommand:
         runs = read_run_file(out)
         assert len(runs) == 1
         run = runs[0]
-        assert [e.rank for e in run.entries] == [1, 2, 3]
-        assert run.entries[0].docno == "D1"
-        assert run.entries[0].score == pytest.approx(
+        assert len(run.docnos) == len(run.scores) == 3
+        assert run.docnos[0] == "D1"
+        assert run.scores[0] == pytest.approx(
             float("%.6f" % (math.log(1 + 6 / 2000) + math.log(2000 / 2002)))
         )
 
@@ -390,12 +391,26 @@ def test_each_search_prints_its_own_absent_term_warning(toy):
     src = str(Path(stoplab.cli.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", TWO_SEARCHES, "search", "--index", str(idx),
-         "--topics", str(topics), "--model", "KL"],
-        capture_output=True, text=True, env=env, check=True)
+
+    def two_searches(topics, model):
+        proc = subprocess.run(
+            [sys.executable, "-c", TWO_SEARCHES, "search", "--index", str(idx),
+             "--topics", str(topics), "--model", model],
+            capture_output=True, text=True, env=env, check=True)
+        return json.loads(proc.stdout)
+
     warning = "query 7: term 'zzzq' absent from collection, dropped\n"
-    assert json.loads(proc.stdout) == [warning, warning]
+    assert two_searches(topics, "KL") == [warning, warning]
+    # every model logs the same lines from the one scoring core: absent
+    # terms in sorted order, then an empty run's notice
+    both = tmp / "both.txt"
+    both.write_text("<top><num>7</num><title>a zzzq</title></top>\n"
+                    "<top><num>9</num><title>zzzq aaab</title></top>\n", encoding="utf-8")
+    lines = (warning + "query 9: term 'aaab' absent from collection, dropped\n"
+             "query 9: term 'zzzq' absent from collection, dropped\n"
+             "query 9 produced no results (all terms filtered or unindexed)\n")
+    for model in ("KL", "BM25", "TFIDF"):
+        assert two_searches(both, model) == [lines, lines], model
 
 
 topic_words = st.text(st.sampled_from("abxyzقالمن"), min_size=1, max_size=6)
@@ -602,13 +617,12 @@ class TestRunFileOrder:
     def test_rank_column_wins_over_scores(self, tmp_path):
         (run,) = self.read(tmp_path, "1 Q0 D1 2 0.9 T\n1 Q0 D2 1 0.1 T\n"
                                      "1 Q0 D3 3 0.5 T\n")
-        assert [(e.docno, e.rank, e.score) for e in run.entries] == [
-            ("D2", 1, 0.1), ("D1", 2, 0.9), ("D3", 3, 0.5)]
+        assert (run.docnos, run.scores.tolist()) == (["D2", "D1", "D3"], [0.1, 0.9, 0.5])
 
     def test_equal_ranks_keep_file_order(self, tmp_path, capsys):
         text = "1 Q0 D1 1 0.5 T\n1 Q0 D2 1 0.9 T\n2 Q0 D4 1 0.2 T\n2 Q0 D3 1 0.8 T\n"
         runs = self.read(tmp_path, text)
-        assert [[e.docno for e in r.entries] for r in runs] == [["D1", "D2"], ["D4", "D3"]]
+        assert [r.docnos for r in runs] == [["D1", "D2"], ["D4", "D3"]]
         qrels = tmp_path / "q.qrels"
         qrels.write_text("1 0 D2 1\n", encoding="utf-8")
         report = evaluate_run(runs, parse_qrels(qrels))
@@ -1323,17 +1337,38 @@ class TestStoplistCommand:
         ]
         assert words == ["b"]
 
-    def test_build_cutoff_above_max_warns_and_writes_empty(self, toy, tmp_path, capsys):
+    def test_build_cutoff_above_max_warns_and_writes_empty(self, toy, tmp_path, caplog):
         tmp, corpus, _ = toy
         idx = tmp / "t.idx"
         assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
-        capsys.readouterr()
         out_file = tmp_path / "empty.txt"
         rc = main(["stoplist", "build", "--index", str(idx), "--cutoff", "99",
                    "--out", str(out_file)])
         assert rc == 0
-        captured = capsys.readouterr()
-        assert "empty" in captured.err
+        assert caplog.record_tuples == [(
+            "stoplab.stoplists", logging.WARNING,
+            "no term has a collection frequency above cutoff 99; the list is empty")]
+        words = [
+            l for l in out_file.read_text(encoding="utf-8").splitlines()
+            if l and not l.startswith("#")
+        ]
+        assert words == []
+
+    def test_build_exclusions_of_every_term_warn_and_write_empty(self, toy, tmp_path,
+                                                                 caplog):
+        # every ctf is at least 1, so the cutoff is not what empties the list
+        tmp, corpus, _ = toy
+        idx = tmp / "t.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        excl = tmp_path / "excl.txt"
+        excl.write_text("a\nb\nc\n")
+        out_file = tmp_path / "empty.txt"
+        rc = main(["stoplist", "build", "--index", str(idx), "--cutoff", "0",
+                   "--exclude", str(excl), "--out", str(out_file)])
+        assert rc == 0
+        assert caplog.record_tuples == [(
+            "stoplab.stoplists", logging.WARNING,
+            "the exclusions remove every term above cutoff 0, 3 in all; the list is empty")]
         words = [
             l for l in out_file.read_text(encoding="utf-8").splitlines()
             if l and not l.startswith("#")

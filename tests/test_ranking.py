@@ -1,3 +1,5 @@
+import io
+import logging
 import math
 import random
 from dataclasses import asdict
@@ -7,11 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stoplab.cli import write_run
 from stoplab.index import build_index
 from stoplab.ranking import (
     BM25Params,
     DirichletParams,
     Query,
+    RunEntry,
     TFIDFParams,
     _per_distinct,
     score_bm25,
@@ -32,11 +36,11 @@ def toy_index():
 
 
 def engine_scores(run):
-    return {e.docno: e.score for e in run.entries}
+    return dict(zip(run.docnos, run.scores.tolist()))
 
 
 def engine_ranking(run):
-    return [e.docno for e in run.entries]
+    return list(run.docnos)
 
 
 class TestParams:
@@ -87,46 +91,46 @@ class TestBM25:
     def test_toy_single_term(self):
         run = score_bm25(toy_index(), Query("1", {"a": 1}))
         assert engine_ranking(run) == ["D1"]
-        assert run.entries[0].score == pytest.approx(math.log(2.5 / 1.5), rel=1e-12)
-        assert run.entries[0].rank == 1
+        assert run.scores[0] == pytest.approx(math.log(2.5 / 1.5), rel=1e-12)
+        assert len(run.scores) == 1
 
     def test_vacuous_query_gives_empty_run(self):
         run = score_bm25(toy_index(), Query("1", {}))
-        assert run.entries == []
+        assert run.docnos == [] and len(run.scores) == 0
         run = score_bm25(toy_index(), Query("1", {"nosuch": 1}))
-        assert run.entries == []
+        assert run.docnos == [] and len(run.scores) == 0
 
     def test_top_k_truncates_to_best(self):
         idx = toy_index()
         full = score_bm25(idx, Query("1", {"c": 1}))
         top1 = score_bm25(idx, Query("1", {"c": 1}), top_k=1)
-        assert [e.docno for e in top1.entries] == [full.entries[0].docno]
-        assert top1.entries[0].rank == 1
+        assert top1.docnos == [full.docnos[0]]
+        assert len(top1.scores) == 1
 
     def test_negative_idf_not_clamped(self):
         # term in 3 of 4 docs: idf = ln(1.5/3.5) < 0
         idx = build_index([("D1", "x"), ("D2", "x"), ("D3", "x"), ("D4", "y")])
         run = score_bm25(idx, Query("1", {"x": 1}))
-        assert all(e.score < 0 for e in run.entries)
+        assert all(run.scores < 0)
 
     def test_tie_break_by_docno(self):
         idx = build_index([("B", "x"), ("A", "x"), ("C", "x")])
         run = score_bm25(idx, Query("1", {"x": 1}))
         assert engine_ranking(run) == ["A", "B", "C"]
-        assert [e.rank for e in run.entries] == [1, 2, 3]
+        assert len(run.scores) == 3
 
 
 class TestTFIDF:
     def test_toy_single_term(self):
         run = score_tfidf(toy_index(), Query("1", {"a": 1}))
         assert engine_ranking(run) == ["D1"]
-        assert run.entries[0].score == pytest.approx(0.5 * math.log(3) ** 2, rel=1e-12)
+        assert run.scores[0] == pytest.approx(0.5 * math.log(3) ** 2, rel=1e-12)
 
     def test_term_in_every_document_contributes_zero(self):
         idx = build_index([("D1", "x a"), ("D2", "x b")])
         run = score_tfidf(idx, Query("1", {"x": 1}))
-        assert all(e.score == 0.0 for e in run.entries)
-        assert len(run.entries) == 2  # still candidates
+        assert all(run.scores == 0.0)
+        assert len(run.docnos) == len(run.scores) == 2  # still candidates
 
     def test_qtf_linearity(self):
         idx = toy_index()
@@ -146,17 +150,17 @@ class TestKLDirichlet:
 
     def test_all_documents_are_candidates(self):
         run = score_kl_dirichlet(toy_index(), Query("1", {"a": 1}))
-        assert len(run.entries) == 3
+        assert len(run.docnos) == len(run.scores) == 3
 
     def test_unindexed_terms_dropped_with_warning(self, caplog):
         with caplog.at_level("WARNING"):
             run = score_kl_dirichlet(toy_index(), Query("1", {"a": 1, "zz": 2}))
         assert "zz" in caplog.text
-        assert len(run.entries) == 3
+        assert len(run.docnos) == len(run.scores) == 3
 
     def test_query_of_only_unindexed_terms_gives_empty_run(self):
         run = score_kl_dirichlet(toy_index(), Query("1", {"zz": 1}))
-        assert run.entries == []
+        assert run.docnos == [] and len(run.scores) == 0
 
     def test_identical_tf_and_dl_score_identically(self):
         idx = build_index([("D1", "a b"), ("D2", "a b"), ("D3", "c c c")])
@@ -167,6 +171,34 @@ class TestKLDirichlet:
         idx = build_index([("D3", "b b"), ("D2", "b b"), ("D1", "a a")])
         run = score_kl_dirichlet(idx, Query("1", {"a": 1}))
         assert engine_ranking(run) == ["D1", "D2", "D3"]
+
+
+SCORER_FUNCTIONS = [score_tfidf, score_bm25, score_kl_dirichlet]
+
+
+@pytest.mark.parametrize("scorer", SCORER_FUNCTIONS, ids=lambda f: f.__name__)
+class TestDiagnostics:
+    """Every model reports what a search drops through the one scoring
+    core: a record per absent term, in sorted order, and one per empty run."""
+
+    def test_each_absent_term_logs_one_record_in_sorted_order(self, scorer, caplog):
+        run = scorer(toy_index(), Query("7", {"zzzq": 1, "a": 1, "aaab": 2}))
+        assert caplog.record_tuples == [
+            ("stoplab.ranking", logging.WARNING,
+             "query 7: term %r absent from collection, dropped" % term)
+            for term in ("aaab", "zzzq")]
+        assert engine_ranking(run)[0] == "D1"
+
+    def test_all_stopword_topic_logs_an_empty_run(self, scorer, caplog):
+        stoplist = Stoplist("s", frozenset({"a"}))
+        idx = build_index(TOY_DOCS, stoplist=stoplist)
+        run = scorer(idx, Query.from_text("9", "a", stoplist=stoplist))
+        assert caplog.record_tuples == [(
+            "stoplab.ranking", logging.WARNING,
+            "query 9 produced no results (all terms filtered or unindexed)")]
+        out = io.StringIO()
+        write_run(run, out)
+        assert out.getvalue() == ""
 
 
 class TestPerDistinct:
@@ -286,7 +318,7 @@ class TestScorersAgainstOracles:
         stopwords = stoplist.words if stoplist else frozenset()
         token_docs = [(docno, [t for t in tokenize(normalize(body))
                                if t not in stopwords]) for docno, body in docs]
-        indexed = any(term in idx.postings for term in query.terms)
+        indexed = any(idx.rows(term) is not None for term in query.terms)
         for (scorer, _, oracle), (params, top_k) in zip(MODELS, per_model):
             run = scorer(idx, query, params, top_k=top_k)
             expected = oracle(token_docs, query.terms, **asdict(params))
@@ -444,12 +476,20 @@ class TestRankingProperties:
             q = Query("1", oracles.random_query(rng, token_docs))
             for scorer in (score_bm25, score_tfidf, score_kl_dirichlet):
                 run = scorer(idx, q, top_k=7)
-                assert len(run.entries) <= 7
-                assert [e.rank for e in run.entries] == list(range(1, len(run.entries) + 1))
-                for prev, cur in zip(run.entries, run.entries[1:]):
-                    assert prev.score > cur.score or (
-                        prev.score == cur.score and prev.docno < cur.docno
+                assert len(run.docnos) == len(run.scores) <= 7
+                rows = list(zip(run.scores.tolist(), run.docnos))
+                for (prev_score, prev_docno), (score, docno) in zip(rows, rows[1:]):
+                    assert prev_score > score or (
+                        prev_score == score and prev_docno < docno
                     )
+
+    def test_entries_rows_for_the_bench(self):
+        # RankedRun.entries is read only by bench/replay.py; this test
+        # belongs to the bench and goes with it
+        run = score_bm25(toy_index(), Query("1", {"b": 1, "c": 1}))
+        assert run.entries == [RunEntry(docno, score, rank) for rank, (docno, score)
+                               in enumerate(zip(run.docnos, run.scores.tolist()), start=1)]
+        assert [type(e.score) for e in run.entries] == [float] * 3
 
     def test_top_k_must_be_positive(self):
         for scorer in (score_bm25, score_tfidf, score_kl_dirichlet):

@@ -1,4 +1,5 @@
 import io
+import logging
 import random
 import string
 
@@ -128,6 +129,18 @@ class TestBuildCorpusStoplist:
     def test_exclusions_removed(self):
         sl = build_corpus_stoplist({"a": 10, "b": 10}, cutoff=5, exclusions={"b"})
         assert sl.words == frozenset({"a"})
+
+    @pytest.mark.parametrize("cutoff, exclusions, message", [
+        (10, (), "no term has a collection frequency above cutoff 10; the list is empty"),
+        (1, {"a", "b", "z"}, "the exclusions remove every term above cutoff 1, 2 in all; "
+                             "the list is empty"),
+        (1, {"a"}, None),
+    ], ids=["cutoff", "exclusions", "not-empty"])
+    def test_empty_list_logs_its_cause(self, caplog, cutoff, exclusions, message):
+        sl = build_corpus_stoplist({"a": 10, "b": 3, "c": 1}, cutoff, exclusions)
+        assert caplog.record_tuples == ([] if message is None else [
+            ("stoplab.stoplists", logging.WARNING, message)])
+        assert (len(sl) == 0) == (message is not None)
 
     def test_negative_cutoff_rejected(self):
         with pytest.raises(ValueError):
