@@ -196,26 +196,77 @@ def parse_topics(text: str, name: str = "topics") -> list[tuple[str, str]]:
 # -- run files ---------------------------------------------------------------
 
 
-_rank_strings: tuple[str, ...] = ()  # "1", "2", ...: the longest run's ranks so far
+_rank_strings: tuple[str, ...] = ()  # " 1 ", " 2 ", ...: the longest run's ranks so far
+
+
+def _score_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The byte rows ``_score_texts`` copies from, one row per index: the
+    integer parts 0..9999 right-aligned in five bytes, then the same with
+    a minus sign (``"   -0"`` too); the first two decimals as ``.dd``; the
+    last four as ``dddd`` and a space."""
+    # uint16, so no temporary outgrows malloc's 128 KiB mmap threshold
+    values = np.arange(10000, dtype=np.uint16)[:, None]
+    digits = (values // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")).astype(np.uint8)
+    blank = values < np.array([1000, 100, 10, 0], np.uint16)  # an integer part's leading zeros
+    whole = np.full((2, 10000, 5), ord(" "), np.uint8)
+    whole[:, :, 1:] = np.where(blank, np.uint8(ord(" ")), digits)
+    whole[1, np.arange(10000), blank.sum(axis=1)] = ord("-")  # left of the first digit
+    two = np.full((100, 3), ord("."), np.uint8)
+    two[:, 1:] = digits[:100, 2:]
+    four = np.full((10000, 5), ord(" "), np.uint8)
+    four[:, :4] = digits
+    return whole.reshape(-1, 5), two, four
+
+
+_WHOLE, _TWO_PLACES, _FOUR_PLACES = _score_tables()
+
+
+def _score_texts(scores: np.ndarray) -> list[str]:
+    """``["%.6f" % s for s in scores]``, each text put together from three
+    table rows (see :func:`write_run` for why it is exact); the scores the
+    tables cannot give go through ``%``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = scores * 1e6
+        units = np.rint(product)
+        exact = (np.abs(units) < 1e10) & (
+            0.5 - np.abs(product - units) > np.spacing(np.abs(product)))
+    whole, fraction = np.divmod(np.where(exact, np.abs(units), 0).astype(np.int64), 1000000)
+    rows = np.concatenate([_WHOLE.take(whole + 10000 * np.signbit(scores), axis=0),
+                           _TWO_PLACES.take(fraction // 10000, axis=0),
+                           _FOUR_PLACES.take(fraction % 10000, axis=0)], axis=1)
+    texts = rows.tobytes().decode("ascii").split()
+    for i in np.flatnonzero(~exact).tolist():
+        texts[i] = "%.6f" % scores[i]
+    return texts
 
 
 def write_run(run: RankedRun, out) -> None:
-    """Write a run's lines, ``qid Q0 docno rank score tag``, with one
-    ``%`` call: the line format repeated once per line, over the columns
-    interleaved into one tuple.  The ranks are cached strings; a longer
-    run binds a new tuple, so a concurrent writer keeps the one it read."""
+    """Write a run's lines, ``qid Q0 docno rank score tag``, as one
+    ``"".join``: each line's docno, rank, score and end, where a line's end
+    is the tag, a newline and the next line's ``qid Q0``.  The ranks are
+    cached strings; a longer run binds a new tuple, so a concurrent writer
+    keeps the one it read.
+
+    Every score is exactly its ``%.6f`` text.  ``%.6f`` rounds the exact
+    value ``s * 10**6`` to an integer, ties to even; the float product lies
+    within half its spacing of that value, so ``np.rint`` of the product
+    is the same integer unless the product lies within ``np.spacing`` of
+    a half-integer.  Those scores, the non-finite ones and those of five or
+    more integer digits go through ``%``; the rest are built from digit
+    tables."""
     global _rank_strings
     n = len(run.docnos)
     ranks = _rank_strings
     if len(ranks) < n:
-        ranks = _rank_strings = tuple(map(str, range(1, n + 1)))
-    line = "%s Q0 %%s %%s %%.6f %s\n" % (run.qid.replace("%", "%%"),
-                                         run.tag.replace("%", "%%"))
-    values = [None] * (3 * n)
-    values[0::3] = run.docnos
-    values[1::3] = ranks[:n]
-    values[2::3] = run.scores.tolist()
-    out.write(line * n % tuple(values))
+        ranks = _rank_strings = tuple(" %d " % rank for rank in range(1, n + 1))
+    head = run.qid + " Q0 "
+    parts = [head] + [None] * (4 * n)
+    parts[1::4] = run.docnos
+    parts[2::4] = ranks[:n]
+    parts[3::4] = _score_texts(run.scores)
+    parts[4::4] = [" %s\n%s" % (run.tag, head)] * n
+    text = "".join(parts)
+    out.write(text[:len(text) - len(head)])  # the last line's end starts no line
 
 
 def read_run_file(source) -> list[RankedRun]:
@@ -746,15 +797,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_parser: _Parser | None = None  # main()'s tree, built on first use
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if getattr(args, "config", None):
-            args = _parse_with_config(parser, args, argv)
+        if getattr(args, "config", None):  # its set_defaults stay in a tree of its own
+            args = _parse_with_config(_build_parser(), args, argv)
         return args.func(args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

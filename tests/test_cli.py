@@ -22,6 +22,7 @@ import stoplab.cli
 from stoplab.cli import (
     _read_run_columns,
     _read_run_lines,
+    _score_texts,
     main,
     parse_topics,
     read_report_tsv,
@@ -1018,6 +1019,29 @@ class TestWriteRun:
             sys.setswitchinterval(interval)
 
 
+# values on a half-unit of the sixth decimal and a float step either side,
+# where the rounded product can lie across the half-unit from the exact value
+half_units = st.integers(-2 * 10**10, 2 * 10**10).map(lambda k: (k + 0.5) / 1e6)
+score_values = st.one_of(
+    st.floats(),
+    half_units.flatmap(lambda v: st.sampled_from(
+        [float(np.nextafter(v, -math.inf)), v, float(np.nextafter(v, math.inf))])))
+
+
+class TestScoreTexts:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(values=st.lists(score_values, max_size=2000))
+    def test_texts_match_percent_format(self, values):
+        assert _score_texts(np.array(values, dtype=np.float64)) == ["%.6f" % v for v in values]
+
+    @pytest.mark.parametrize("value", [
+        52.6530455, 3001.6628495,  # the product rounds across a half-unit
+        9999.9999995, -9999.9999995, 9999.9999994, 1e10,  # four integer digits and past
+        -0.0, -1e-9, 0.0078125, math.nan, -math.inf])
+    def test_pinned_texts(self, value):
+        assert _score_texts(np.array([value, 1.5])) == ["%.6f" % value, "1.500000"]
+
+
 class TestCompareCommand:
     def make_report(self, tmp_path, tag, aps, qrels_text, capsys):
         """Build a report TSV from a synthetic run with the given APs."""
@@ -1661,6 +1685,21 @@ class TestConfigFiles:
         rc = main(["search", "--config", str(cfg)])
         assert rc == 0
         assert capsys.readouterr().out == "1 Q0 D1 1 0.510826 BM25\n"
+
+    def test_config_values_do_not_outlive_their_call(self, toy, capsys):
+        """``main`` keeps one parser; a manifest's values are defaults of a
+        tree built for that call alone, so the next call's model is TFIDF."""
+        tmp, corpus, topics = toy
+        idx = tmp / "t.idx"
+        assert main(["index", "--corpus", str(corpus), "--out", str(idx)]) == 0
+        cfg = tmp / "search.cfg"
+        cfg.write_text("index=%s\ntopics=%s\nmodel=BM25\n" % (idx, topics), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["search", "--config", str(cfg), "--top-k", "1"]) == 0
+        assert capsys.readouterr().out.endswith(" BM25\n")
+        assert main(["search", "--index", str(idx), "--topics", str(topics),
+                     "--top-k", "1"]) == 0
+        assert capsys.readouterr().out.endswith(" TFIDF\n")
 
     def test_malformed_config_line_is_data_error(self, toy, capsys):
         tmp, corpus, _ = toy
