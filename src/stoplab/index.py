@@ -8,8 +8,8 @@ become spaces; the rest of the block is skipped.  The ``index`` command
 also refuses a corpus file that holds no block at all.
 
 The index holds everything the ranking models need: postings with
-within-document term frequencies, per-document lengths, collection term
-frequencies, and the derived statistics N, avgdl and total token count.
+within-document term frequencies, per-document lengths, N, avgdl and the
+total token count; collection term frequencies are derived on first use.
 When a stoplist is supplied it is applied while indexing, so document
 lengths and collection statistics all reflect the removal; the list itself
 is stored in the index so queries can be filtered identically later.
@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ParseError, atomic_write, read_bytes, source_name
 from .stoplists import Stoplist
-from .textpipe import tokenize_chunks
+from .textpipe import CHUNK_END, tokenize_chunks
 
 MAGIC = b"ARIDX003"
 _RETIRED = (b"ARIDX001", b"ARIDX002")
@@ -418,8 +418,10 @@ def build_index(
     Documents are read one at a time, in input order, and split at
     whitespace into one stream of chunk ids.  The distinct chunks are
     normalized and tokenized in one batch, which by chunk locality (see
-    :mod:`stoplab.textpipe`) gives every chunk's tokens, and each token maps
-    to its position in the sorted terms, or len(terms) for a stopword.
+    :mod:`stoplab.textpipe`) gives every chunk's tokens, each chunk's
+    followed by a newline, ``CHUNK_END``.  A token maps to its position in
+    the sorted terms, or len(terms) for a stopword, and a newline to -1,
+    from which numpy finds where each chunk's tokens end.
     Repeated along the chunk stream, these give one position per token; one
     in-place sort of a key per token, position * N + doc ordinal, puts them
     in postings order, stopwords last, and one cut drops those: each run of
@@ -441,17 +443,20 @@ def build_index(
         chunk_ids.extend(map(chunk_table.__getitem__, chunks))
     n = len(docnos)
 
-    batch, ends = tokenize_chunks(list(chunk_table))
-    terms = sorted(set(batch).difference(stoplist.words if stoplist else ()))
+    batch = tokenize_chunks(list(chunk_table))
+    terms = sorted(set(batch).difference((CHUNK_END,), stoplist.words if stoplist else ()))
     if (len(terms) + 1) * n > 1 << 63:  # the largest key is (len(terms) + 1) * n - 1
         raise ParseError("%d terms x %d documents overflow the sort keys"
                          % (len(terms), n))
     position = dict.fromkeys(batch, len(terms))  # token -> its index in terms, or len(terms)
     position.update(zip(terms, range(len(terms))))
+    position[CHUNK_END] = -1
     chunk_positions = np.fromiter(map(position.__getitem__, batch), np.int32, len(batch))
     del batch, chunk_table, position  # freed early, to keep the peak low
+    ends = np.flatnonzero(chunk_positions < 0)  # the CHUNK_END after each chunk's tokens
+    chunk_positions = np.delete(chunk_positions, ends)
+    ends -= np.arange(len(ends))  # less the CHUNK_ENDs before each: where its chunk's tokens end
     chunk = np.frombuffer(chunk_ids, dtype=np.uint32)
-    ends = np.array(ends, dtype=np.int64)
     sizes = np.diff(ends, prepend=0)  # tokens per distinct chunk
     tokens = int(np.bincount(chunk, minlength=len(sizes)) @ sizes)  # stopwords included
     offset = np.int32 if tokens < STREAM_LIMIT else np.int64  # holds any token offset

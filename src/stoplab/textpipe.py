@@ -27,14 +27,13 @@ text does, so for any ``s``::
     tokenize(normalize(s)) == [t for c in s.split() for t in tokenize(normalize(c))]
 
 So text whose chunks repeat can be tokenized once per distinct chunk, all
-of them in one batch (:func:`tokenize_chunks`), as an index build does.
+of them in one batch (:func:`tokenize_chunks`), as an index build does; in
+its one list a newline, :data:`CHUNK_END`, marks where each chunk ends.
 
 All functions are pure; they are safe to call concurrently.
 """
 
 import re
-from itertools import compress, count
-from operator import not_, sub
 
 # Core Arabic letter ranges (hamza..ghain, feh..yeh); tatweel sits between
 # the two ranges and is deliberately excluded.
@@ -48,8 +47,8 @@ _FINAL_ALEF_MAQSURA_RE = re.compile(r"ى(?![%s])" % _WORD_CHARS)
 _FINAL_TEH_MARBUTA_RE = re.compile(r"ة(?![%s])" % _WORD_CHARS)
 _TOKEN_RE = re.compile(r"[%s]+|[A-Za-z0-9]+" % ARABIC_LETTERS)
 
-_CHUNK_END = "\n"
-_CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + _CHUNK_END)
+CHUNK_END = "\n"  # follows each chunk's tokens in tokenize_chunks' list
+_CHUNK_TOKEN_RE = re.compile(_TOKEN_RE.pattern + "|" + CHUNK_END)
 
 
 def normalize(text: str) -> str:
@@ -74,19 +73,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
-def tokenize_chunks(chunks: list[str]) -> tuple[list[str], list[int]]:
+def tokenize_chunks(chunks: list[str]) -> list[str]:
     """Normalize and tokenize whitespace-free ``chunks`` in one batch.
 
-    Returns ``(tokens, ends)``: the tokens of all chunks, chunk after chunk,
-    and where each chunk's tokens end, so ``tokens[ends[i - 1]:ends[i]]``
-    (from 0 for the first) are those of ``chunks[i]``; there may be none.
-    By chunk locality they are ``tokenize(normalize(chunks[i]))``.
+    Returns one list, chunk after chunk: each chunk's tokens, which by
+    chunk locality are ``tokenize(normalize(chunk))`` and may be none,
+    then one :data:`CHUNK_END`.
     """
-    # one normalize and one findall over the chunks, each followed by a
-    # newline, which the findall returns too; newline k (from 0) follows
-    # chunk k's tokens and k earlier newlines, so its index less k is ends[k]
-    text = _CHUNK_END.join([*chunks, ""])
-    marked = _CHUNK_TOKEN_RE.findall(normalize(text))
-    is_end = list(map(_CHUNK_END.__eq__, marked))
-    ends = list(map(sub, compress(count(), is_end), count()))
-    return list(compress(marked, map(not_, is_end))), ends
+    # one normalize and one findall, which returns the newlines too
+    return _CHUNK_TOKEN_RE.findall(normalize(CHUNK_END.join([*chunks, ""])))

@@ -4,7 +4,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stoplab.textpipe import normalize, tokenize, tokenize_chunks
+from stoplab.textpipe import CHUNK_END, normalize, tokenize, tokenize_chunks
 
 ALEF = "ا"
 ALEF_MADDA = "آ"
@@ -141,9 +141,8 @@ LOCALITY_TEXT = st.text(st.one_of([st.sampled_from(g) for g in LOCALITY_GROUPS])
 def assert_local(text):
     per_chunk = [tokenize(normalize(c)) for c in text.split()]
     assert tokenize(normalize(text)) == [t for ts in per_chunk for t in ts]
-    tokens, ends = tokenize_chunks(text.split())
-    assert [tokens[a:b] for a, b in zip([0, *ends], ends)] == per_chunk
-    assert len(tokens) == (ends[-1] if ends else 0)
+    marked = [t for ts in per_chunk for t in [*ts, CHUNK_END]]
+    assert tokenize_chunks(text.split()) == marked
 
 
 class TestChunkLocality:
@@ -158,3 +157,8 @@ class TestChunkLocality:
         for space in LOCALITY_GROUPS[3]:
             for c in LOCALITY_GROUPS[1]:
                 assert_local("ب%s%s%sب%s" % (c, space, c, space))
+
+    def test_chunk_end_follows_each_chunk(self):
+        assert tokenize_chunks([]) == []
+        assert tokenize_chunks(["—"]) == ["\n"]
+        assert tokenize_chunks(["TREC-2001", "قال،"]) == ["TREC", "2001", "\n", "قال", "\n"]
