@@ -30,7 +30,7 @@ import numpy as np
 from . import stoplists
 from .errors import (ParseError, atomic_write, decode, iter_lines, iter_records, read_data,
                      read_text, source_name)
-from .index import BadDocno, DuplicateDocno, Index, build_index, parse_trec_documents
+from .index import DocnoError, Index, build_index, parse_trec_documents
 from .ranking import (
     DEFAULT_TOP_K,
     BM25Params,
@@ -547,11 +547,9 @@ def cmd_index(args) -> int:
         stoplist = None if args.stoplist == "none" else _resolve_stoplist(args.stoplist)
         try:
             index = build_index(documents(), stoplist=stoplist)
-        except DuplicateDocno as exc:
-            raise ParseError("%s: duplicate docno %r (first in %s)" % (
-                sources[exc.again], exc.docno, sources[exc.first])) from None
-        except BadDocno as exc:
-            raise ParseError("%s: %s" % (sources[exc.ordinal], exc)) from None
+        except DocnoError as exc:
+            first = "" if exc.first is None else " (first in %s)" % sources[exc.first]
+            raise ParseError("%s: %s%s" % (sources[exc.ordinal], exc, first)) from None
         index.save(out)
     print("documents:           %d" % index.N)
     print("tokens:              %d" % index.total_tokens)

@@ -38,6 +38,10 @@ view of the file's bytes.  Writing is fully deterministic, so equal indexes
 serialize byte-identically.  Files in the retired ``ARIDX001`` and
 ``ARIDX002`` formats are refused: rebuild them.  So are files whose
 ``strip_marks`` is not ``true``, as ``index --keep-marks`` wrote.
+
+Decoding checks only the file: magic, header and widths, length, checksum
+and ``strip_marks``.  :meth:`Index.check`, which ends every build and load,
+is the one validator of an index's structure, sizes and string types too.
 """
 
 import json
@@ -168,11 +172,7 @@ class Index:
         stoplist: Stoplist | None = None,
         stopwords_removed: int = 0,
     ):
-        bounds = np.concatenate(([0], np.cumsum(doc_freqs, dtype=np.int64)))
-        if (len(doc_freqs) != len(terms) or bounds[-1] != len(ordinals)
-                or len(tfs) != len(ordinals)):
-            raise ValueError("postings table size mismatch")
-        self.bounds = bounds
+        self.bounds = np.concatenate(([0], np.cumsum(doc_freqs, dtype=np.int64)))
         self.docnos = docnos
         self.doc_lengths = doc_lengths
         self.terms = terms
@@ -244,12 +244,14 @@ class Index:
         return 0 if rows is None else rows.stop - rows.start
 
     def check(self) -> None:
-        """Verify the structural invariants; raises ValueError on breakage
-        (:class:`BadDocno` and :class:`DuplicateDocno` are ValueErrors)."""
+        """The one structural validator: raises ValueError on breakage
+        (:class:`DocnoError` is one), TypeError on a non-string docno or term."""
         n, terms, docnos = self.N, self.terms, self.docnos
         ordinals, tfs = self.ordinals, self.tfs
-        if len(self.doc_lengths) != n:
-            raise ValueError("doc table size mismatch")
+        if (len(self.doc_lengths) != n or len(self.doc_freqs) != len(terms)
+                or self.bounds[-1] != len(ordinals) or len(tfs) != len(ordinals)):
+            raise ValueError("table size mismatch")
+        "".join(terms)  # raises TypeError, at C speed, on a non-string
         # a run file splits its lines at whitespace, so a docno must be one
         # field, and name one document; the slow path names the first fault
         joined = "".join(docnos)  # holds whitespace where a docno does
@@ -258,9 +260,9 @@ class Index:
             first: dict[str, int] = {}
             for i, docno in enumerate(docnos):
                 if docno.split() != [docno]:
-                    raise BadDocno(docno, i)
+                    raise DocnoError(docno, i)
                 if first.setdefault(docno, i) != i:
-                    raise DuplicateDocno(docno, first[docno], i)
+                    raise DocnoError(docno, i, first[docno])
         if int(self.doc_lengths.sum(dtype=np.uint64)) != self.total_tokens:
             raise ValueError("sum of document lengths != total_tokens")
         if int(tfs.sum(dtype=np.uint64)) != self.total_tokens:
@@ -369,8 +371,6 @@ class Index:
         if meta["strip_marks"] is not True:
             raise ParseError("%s: index built with --keep-marks, which stoplab no "
                              "longer reads; rebuild it with stoplab index" % name)
-        for strings in (meta["docnos"], meta["terms"]):
-            "".join(strings)  # raises TypeError, at C speed, on a non-string
         s = meta["stoplist"]
         return cls(
             docnos=meta["docnos"],
@@ -385,23 +385,14 @@ class Index:
         )
 
 
-class BadDocno(ParseError, ValueError):
-    """A docno that a run file cannot hold, empty or with whitespace in it,
-    with the document's ordinal."""
+class DocnoError(ParseError, ValueError):
+    """A docno a run file cannot hold, empty, with whitespace or repeated,
+    with its document's ``ordinal`` and a repeat's ``first`` ordinal."""
 
-    def __init__(self, docno: str, ordinal: int):
-        what = "empty docno" if not docno else "docno %r contains whitespace" % docno
-        super().__init__(what)
-        self.docno, self.ordinal = docno, ordinal
-
-
-class DuplicateDocno(ParseError, ValueError):
-    """A docno given twice, with the ordinals of both documents, so a
-    caller that knows their sources can name them."""
-
-    def __init__(self, docno: str, first: int, again: int):
-        super().__init__("duplicate docno %r" % docno)
-        self.docno, self.first, self.again = docno, first, again
+    def __init__(self, docno: str, ordinal: int, first: int | None = None):
+        super().__init__("duplicate docno %r" % docno if first is not None else
+                         "docno %r contains whitespace" % docno if docno else "empty docno")
+        self.docno, self.ordinal, self.first = docno, ordinal, first
 
 
 def build_index(
@@ -411,9 +402,9 @@ def build_index(
 ) -> Index:
     """Normalize, tokenize, filter and count a document stream into an Index.
 
-    A docno that is empty or holds whitespace raises :class:`BadDocno`, and
-    one given twice :class:`DuplicateDocno`, since a run file could not
-    hold them; :meth:`Index.check` finds them once the documents are read.
+    A docno that is empty, holds whitespace or is given twice raises
+    :class:`DocnoError`, since a run file could not hold it;
+    :meth:`Index.check` finds it once the documents are read.
 
     Documents are read one at a time, in input order, and split at
     whitespace into one stream of chunk ids.  The distinct chunks are

@@ -165,16 +165,15 @@ def _exact_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
     # integers and the null distribution of 2*W+ can be tabulated exactly.
     doubled = [int(round(2 * r)) for r in ranks]
     total = sum(doubled)
-    ways = [0] * (total + 1)
+    # ways[s]: subsets of the ranks seen whose sum is s; each r is at least 2
+    ways = np.zeros(total + 1, dtype=np.int64)
     ways[0] = 1
     for r in doubled:
-        for s in range(total - r, -1, -1):
-            if ways[s]:
-                ways[s + r] += ways[s]
+        ways[r:] = ways[r:] + ways[:-r]
     w2 = int(round(2 * w_plus))
     lo = min(w2, total - w2)
     hi = total - lo
-    count = sum(ways[: lo + 1]) + sum(ways[hi:])
+    count = int(ways[: lo + 1].sum() + ways[hi:].sum())
     return min(1.0, count / (2 ** len(doubled)))
 
 

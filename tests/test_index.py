@@ -287,9 +287,9 @@ class TestBuildIndex:
         (["A", "A", "B"], 0, 1), (["B", "A", "B"], 0, 2), (["A", "B", "B"], 1, 2),
     ])
     def test_duplicate_docno_names_both_ordinals(self, docnos, first, again):
-        with pytest.raises(stoplab.index.DuplicateDocno) as info:
+        with pytest.raises(stoplab.index.DocnoError) as info:
             build_index([(docno, "a") for docno in docnos])
-        assert (info.value.docno, info.value.first, info.value.again) == (
+        assert (info.value.docno, info.value.first, info.value.ordinal) == (
             docnos[again], first, again)
 
     @pytest.mark.parametrize("docno, message", [
@@ -299,9 +299,10 @@ class TestBuildIndex:
     ])
     def test_docno_a_run_file_cannot_hold_rejected(self, docno, message):
         match = "^%s$" % re.escape(message)
-        with pytest.raises(stoplab.index.BadDocno, match=match) as info:
+        with pytest.raises(stoplab.index.DocnoError, match=match) as info:
             build_index([("D1", "a"), (docno, "b")])
         assert info.value.ordinal == 1
+        assert info.value.first is None
 
     def test_empty_documents_kept(self):
         idx = build_index([("D1", ""), ("D2", "a")])
@@ -697,6 +698,41 @@ class TestCheck:
         with pytest.raises(ParseError, match="^%s: corrupt index file: .*int"
                                              % re.escape(str(path))):
             Index.load(path)
+
+    @pytest.mark.parametrize("case, message", [
+        ("meta one term short", "table size mismatch"),
+        ("df 0, next df raised", "df < 1 for term 'a'"),
+    ])
+    def test_checksummed_table_fault_refused_at_load(self, tmp_path, capsys,
+                                                     case, message):
+        blob = bytearray(serialized(build_index(TOY_DOCS)))  # terms a, b, c
+        if case == "meta one term short":  # the header still counts 3 terms
+            meta_len = stoplab.index._HEADER.unpack_from(blob)[4]
+            blob[-4 - meta_len:-4] = blob[-4 - meta_len:-4].replace(
+                b'"terms":["a","b","c"]', b'"terms":["a","b"]')
+            struct.pack_into("<Q", blob, 32, meta_len - 4)  # meta_len follows 8 + 3 x 8 bytes
+        else:  # dfs 1, 2, 2 become 0, 3, 2: the postings total still holds
+            df_at = stoplab.index._HEADER.size + 4 * 3  # past the dl column
+            struct.pack_into("<2I", blob, df_at, 0, 3)
+        struct.pack_into("<I", blob, len(blob) - 4, zlib.crc32(bytes(blob[:-4])))
+        path = tmp_path / "t.idx"
+        path.write_bytes(bytes(blob))
+        want = "%s: corrupt index file: %s" % (path, message)
+        with pytest.raises(ParseError, match="^%s$" % re.escape(want)):
+            Index.load(path)
+        topics = tmp_path / "topics.txt"
+        topics.write_text("<top><num>1</num><title>b</title></top>", encoding="utf-8")
+        run = tmp_path / "t.run"
+        capsys.readouterr()
+        assert main(["search", "--index", str(path), "--topics", str(topics),
+                     "--out", str(run)]) == 2
+        assert capsys.readouterr().err == "error: %s\n" % want
+        assert not run.exists()
+
+    def test_table_sizes_checked_by_check_alone(self):
+        index = self.broken(tfs=_toy_columns()["tfs"][:-1])  # one row short
+        with pytest.raises(ValueError, match="^table size mismatch$"):
+            index.check()
 
     def test_first_docno_fault_named(self):
         with pytest.raises(ValueError, match="^docno 'D 2' contains whitespace$"):
